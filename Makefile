@@ -1,15 +1,16 @@
 # Build, test, and verification targets for the reproduction.
 #
-# `make ci` is the full gate: formatting, vet, build, the race-enabled test
-# suite (including the runner's differential tests under -cpu=1,4), short
-# fuzz smokes (trace codecs, BnB state keys, the scheduling service's request
-# decoder), the serve-mode golden smoke, and the observability overhead
-# guard. It needs nothing beyond the Go toolchain.
+# `make ci` is the full gate: formatting, vet, build, the benchmark module's
+# own vet and tests, the race-enabled test suite (including the runner's
+# differential tests under -cpu=1,4), short fuzz smokes (trace codecs, BnB
+# state keys, the scheduling service's request decoder), the serve-mode
+# golden smoke, and the observability overhead guard. It needs nothing
+# beyond the Go toolchain.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test race runner-race fuzz-smoke serve-smoke oracle-short bench bench-guard bench-json bench-json-search bench-json-online bench-json-serve golden ci
+.PHONY: all build vet fmt-check test perfbench-test race runner-race fuzz-smoke serve-smoke oracle-short bench bench-guard bench-json bench-json-search bench-json-online bench-json-serve golden ci
 
 all: build
 
@@ -26,6 +27,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module's own vet and tests. perfbench/ is a separate Go
+# module, so the root `go test ./...` never reaches it; its refspan_test.go
+# pins the independent make-span reference every benchmark answer is
+# replayed against.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full suite under the race detector.
 race:
@@ -139,4 +147,4 @@ oracle-short:
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update
 
-ci: fmt-check vet build race runner-race fuzz-smoke serve-smoke oracle-short bench-guard bench-json bench-json-search bench-json-online bench-json-serve
+ci: fmt-check vet build perfbench-test race runner-race fuzz-smoke serve-smoke oracle-short bench-guard bench-json bench-json-search bench-json-online bench-json-serve

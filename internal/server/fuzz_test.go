@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // FuzzScheduleRequest drives the request decode/validate/materialize path
@@ -15,7 +17,9 @@ import (
 //   - an accepted request has a deterministic fingerprint;
 //   - an accepted request's workload either materializes into validated
 //     library types or fails with a client-fault error — it never panics,
-//     whatever the payload's numbers are.
+//     whatever the payload's numbers are;
+//   - an accepted inline workload's worst-case make-span fits the
+//     simulator's time range (the magnitude seeds probe its edge).
 //
 // Seeds come from testdata/requests, which doubles as documentation of the
 // wire format.
@@ -68,6 +72,11 @@ func FuzzScheduleRequest(f *testing.F) {
 		}
 		if err := w.Trace.Validate(w.Profile.NumFuncs()); err != nil {
 			t.Fatalf("materialized trace does not validate: %v", err)
+		}
+		if req.Bench == "" {
+			if err := sim.CheckTimeBounds(w.Trace, w.Profile); err != nil {
+				t.Fatalf("accepted inline workload leaves the time range: %v", err)
+			}
 		}
 	})
 }

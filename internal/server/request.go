@@ -380,6 +380,14 @@ func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
 	if req.MaxCalls > 0 && req.MaxCalls < w.Trace.Len() {
 		w.Trace = w.Trace.Slice(0, req.MaxCalls)
 	}
+	if req.Bench == "" {
+		// Counts bound an inline payload's size, not its magnitudes: reject
+		// an instance whose worst-case make-span leaves the simulator's time
+		// range before any scheduler or bound sums its times.
+		if err := sim.CheckTimeBounds(w.Trace, w.Profile); err != nil {
+			return nil, badRequest("inline workload: %v", err)
+		}
+	}
 	return w, nil
 }
 

@@ -211,6 +211,30 @@ func TestScheduleValidationErrors(t *testing.T) {
 	}
 }
 
+// TestScheduleInlineTimeOverflow: an inline instance whose worst-case
+// make-span leaves the simulator's time range — one function with exec time
+// 2^62 called four times — answers 400 with the typed overflow error for
+// every algorithm, instead of 200 with a wrapped negative make_span.
+func TestScheduleInlineTimeOverflow(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, algo := range Algorithms {
+		t.Run(algo, func(t *testing.T) {
+			body := fmt.Sprintf(`{"algo":%q,"trace":{"calls":[0,0,0,0]},"profile":{"levels":2,"funcs":[{"compile":[1,2],"exec":[4611686018427387904,4611686018427387904]}]}}`, algo)
+			status, _, b := post(t, ts.URL, []byte(body))
+			if status != http.StatusBadRequest {
+				t.Fatalf("status = %d, body %s; want 400", status, b)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(b, &e); err != nil {
+				t.Fatalf("error body %q is not JSON", b)
+			}
+			if !strings.Contains(e.Error, "worst-case make-span out of range") {
+				t.Errorf("error %q does not name the overflow", e.Error)
+			}
+		})
+	}
+}
+
 // TestScheduleOversizedPayload: bodies beyond MaxBodyBytes bounce with 413.
 func TestScheduleOversizedPayload(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBodyBytes: 2048})

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
@@ -92,7 +92,6 @@ type pendingReq struct {
 type compileQueue struct {
 	discipline QueueDiscipline
 	pending    []pendingReq
-	pool       *workerPool
 }
 
 // push adds a request. Arrivals are nondecreasing by construction.
@@ -147,19 +146,12 @@ func (q *compileQueue) higherPriority(a, b pendingReq) bool {
 // worker's free time or the chosen request's arrival, whichever is later),
 // or ok=false if nothing is pending.
 func (e *engine) nextAssignTime() (int64, bool) {
-	if len(e.queue.pending) == 0 {
-		return 0, false
-	}
-	_, free := e.queue.pool.earliest()
+	_, free := e.pool.earliest()
 	i := e.queue.next(free)
 	if i < 0 {
 		return 0, false
 	}
-	t := free
-	if a := e.queue.pending[i].arrival; a > t {
-		t = a
-	}
-	return t, true
+	return max(free, e.queue.pending[i].arrival), true
 }
 
 func (q *compileQueue) remove(i int) pendingReq {
@@ -168,40 +160,98 @@ func (q *compileQueue) remove(i int) pendingReq {
 	return r
 }
 
-// engine couples the compile queue to the result bookkeeping.
+// engine couples the compile queue to a kernel: drained requests go through
+// the kernel's compile step, calls through its call step. It also holds the
+// per-run request bookkeeping the policy runners share.
 type engine struct {
-	p        *profile.Profile
-	queue    compileQueue
-	versions []versionList
-	res      *Result
-	rec      *obs.Recorder
+	kernel
+	queue compileQueue
+	res   *Result
+	opts  *Options
+
+	requested    []bool
+	maxRequested []profile.Level
+	seq          int
 }
 
-// drainOne materializes the next assignment if any request is pending.
-// Returns false when the queue is empty.
+// newEngine validates the run's configuration, options and policy, binds p,
+// and checks that no run over threads (with the policy compiling each
+// (function, level) pair at most once) leaves the simulator's time range.
+// The runner's name appears in the nil-policy error.
+func newEngine(runner string, threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts *Options) (*engine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Discipline != FIFO && cfg.Discipline != FirstCompileFirst {
+		return nil, fmt.Errorf("sim: unknown queue discipline %d", cfg.Discipline)
+	}
+	if pol == nil {
+		return nil, fmt.Errorf("sim: %s needs a non-nil policy", runner)
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	e := &engine{
+		queue: compileQueue{discipline: cfg.Discipline},
+		res:   &Result{FirstReady: make([]int64, p.NumFuncs())},
+		opts:  opts,
+	}
+	if err := e.bind(p); err != nil {
+		return nil, err
+	}
+	var exec int64
+	for _, tr := range threads {
+		if err := tr.Validate(e.nf); err != nil {
+			return nil, err
+		}
+		exec = addSat(exec, e.worstExec(tr.Counts(), opts.ExecVariation))
+	}
+	if err := checkTimeBounds(exec, e.compileBudget()); err != nil {
+		return nil, err
+	}
+	e.pool.reset(cfg.CompileWorkers)
+	e.requested = make([]bool, e.nf)
+	e.maxRequested = make([]profile.Level, e.nf)
+	return e, nil
+}
+
+// enqueue adds a policy request arriving at the given time. Requests at a
+// level not above the highest one already requested for the function are
+// dropped (a JIT never downgrades, and duplicates coalesce in the queue).
+// With settle set, everything startable by the arrival is materialized
+// first, so the pressure stats reflect what is genuinely still waiting.
+func (e *engine) enqueue(f trace.FuncID, l profile.Level, arrival int64, settle bool) error {
+	if l < 0 || int(l) >= e.levels {
+		return fmt.Errorf("sim: policy requested level %d for function %d outside [0,%d)", l, f, e.levels)
+	}
+	if e.requested[f] && l <= e.maxRequested[f] {
+		return nil
+	}
+	if settle {
+		e.drainArrived(arrival)
+	}
+	first := !e.requested[f]
+	e.requested[f] = true
+	e.maxRequested[f] = l
+	e.seq++
+	if first && slices.ContainsFunc(e.queue.pending, func(r pendingReq) bool { return !r.first }) {
+		e.res.FirstBehindRecompiles++
+	}
+	e.queue.push(pendingReq{f: f, level: l, arrival: arrival, first: first, seq: e.seq})
+	e.res.MaxPending = max(e.res.MaxPending, len(e.queue.pending))
+	return nil
+}
+
+// drainOne materializes the next assignment, through the kernel's compile
+// step, if any request is pending. Returns false when the queue is empty.
 func (e *engine) drainOne() bool {
-	w, free := e.queue.pool.earliest()
+	_, free := e.pool.earliest()
 	i := e.queue.next(free)
 	if i < 0 {
 		return false
 	}
 	r := e.queue.remove(i)
-	start := free
-	if r.arrival > start {
-		start = r.arrival
-	}
-	done := start + e.p.CompileTime(r.f, r.level)
-	e.queue.pool.set(w, done)
-	e.res.Compiles = append(e.res.Compiles, CompileRecord{
-		Event: CompileEvent{Func: r.f, Level: r.level}, Start: start, Done: done, Worker: w,
-	})
-	e.rec.CompileStart(start, int32(r.f), int32(r.level), int32(w), int32(len(e.res.Compiles)-1))
-	e.rec.CompileEnd(done, int32(r.f), int32(r.level), int32(w), int32(len(e.res.Compiles)-1))
-	e.versions[r.f].insert(done, r.level)
-	e.res.CompileBusy += done - start
-	if done > e.res.CompileEnd {
-		e.res.CompileEnd = done
-	}
+	e.compileStep(CompileEvent{Func: r.f, Level: r.level}, r.arrival, e.res, e.opts)
 	return true
 }
 
@@ -238,25 +288,14 @@ func (e *engine) pendingRequests() []Request {
 // so that version lookups at time t see all relevant completions.
 func (e *engine) drainArrived(t int64) {
 	for {
-		_, free := e.queue.pool.earliest()
+		_, free := e.pool.earliest()
 		if free > t {
 			return
 		}
-		i := e.queue.next(free)
-		if i < 0 {
+		if i := e.queue.next(free); i < 0 || e.queue.pending[i].arrival > t {
 			return
 		}
-		r := e.queue.pending[i]
-		start := free
-		if r.arrival > start {
-			start = r.arrival
-		}
-		if start > t {
-			return
-		}
-		if !e.drainOne() {
-			return
-		}
+		e.drainOne()
 	}
 }
 
@@ -278,70 +317,14 @@ func (e *engine) drainAll() {
 //   - cfg.CompileWorkers workers serve the queue under cfg.Discipline; a
 //     request may not start before its arrival time.
 func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts Options) (*Result, error) {
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
-	if cfg.Discipline != FIFO && cfg.Discipline != FirstCompileFirst {
-		return nil, fmt.Errorf("sim: unknown queue discipline %d", cfg.Discipline)
-	}
-	if pol == nil {
-		return nil, fmt.Errorf("sim: RunPolicy needs a non-nil policy")
-	}
-	if err := opts.validate(); err != nil {
+	eng, err := newEngine("RunPolicy", []*trace.Trace{tr}, p, pol, cfg, &opts)
+	if err != nil {
 		return nil, err
 	}
-	nf := p.NumFuncs()
-	if err := tr.Validate(nf); err != nil {
-		return nil, err
-	}
-
-	res := &Result{FirstReady: make([]int64, nf)}
-	for f := range res.FirstReady {
-		res.FirstReady[f] = -1
-	}
+	res := eng.res
 	if opts.RecordCalls {
 		res.CallStarts = make([]int64, 0, tr.Len())
 		res.CallLevels = make([]profile.Level, 0, tr.Len())
-	}
-
-	eng := &engine{
-		p:        p,
-		queue:    compileQueue{discipline: cfg.Discipline, pool: newWorkerPool(cfg.CompileWorkers)},
-		versions: make([]versionList, nf),
-		res:      res,
-		rec:      opts.Recorder,
-	}
-	maxRequested := make([]profile.Level, nf)
-	requested := make([]bool, nf)
-	seq := 0
-
-	enqueue := func(f trace.FuncID, l profile.Level, arrival int64) error {
-		if l < 0 || int(l) >= p.Levels {
-			return fmt.Errorf("sim: policy requested level %d for function %d outside [0,%d)", l, f, p.Levels)
-		}
-		if requested[f] && l <= maxRequested[f] {
-			return nil
-		}
-		// Materialize everything startable by now so the pressure stats
-		// below reflect what is genuinely still waiting.
-		eng.drainArrived(arrival)
-		first := !requested[f]
-		requested[f] = true
-		maxRequested[f] = l
-		seq++
-		if first {
-			for _, r := range eng.queue.pending {
-				if !r.first {
-					res.FirstBehindRecompiles++
-					break
-				}
-			}
-		}
-		eng.queue.push(pendingReq{f: f, level: l, arrival: arrival, first: first, seq: seq})
-		if n := len(eng.queue.pending); n > res.MaxPending {
-			res.MaxPending = n
-		}
-		return nil
 	}
 
 	period := pol.SamplePeriod()
@@ -350,61 +333,41 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 	}
 	nextSample := period // first sampling tick fires at t = period
 
-	callNum := make([]int64, nf)
-	intr := opts.Interrupt
-	var execT int64
+	callNum := make([]int64, eng.nf)
+	var ln lane
 	for i, f := range tr.Calls {
-		if intr != nil && i%interruptStride == 0 && interrupted(intr) {
-			return nil, ErrInterrupted
-		}
 		callNum[f]++
-		for _, r := range pol.BeforeCall(f, callNum[f], execT) {
-			if err := enqueue(r.Func, r.Level, execT); err != nil {
+		for _, r := range pol.BeforeCall(f, callNum[f], ln.t) {
+			if err := eng.enqueue(r.Func, r.Level, ln.t, true); err != nil {
 				return nil, err
 			}
 		}
-		if !requested[f] {
-			if err := enqueue(f, pol.FirstCall(f, execT), execT); err != nil {
+		if !eng.requested[f] {
+			if err := eng.enqueue(f, pol.FirstCall(f, ln.t), ln.t, true); err != nil {
 				return nil, err
 			}
 		}
 		if eng.versions[f].firstReady() < 0 {
-			if err := eng.drainUntilReady(f, execT); err != nil {
+			if err := eng.drainUntilReady(f, ln.t); err != nil {
 				return nil, err
 			}
 		}
-		start := execT
-		if ready := eng.versions[f].firstReady(); ready > start {
-			start = ready
+		// Materialize every compilation that can start by the call's start,
+		// so the call step's version lookup sees all that finished by then.
+		eng.drainArrived(eng.readyAt(f, ln.t))
+		start, level, err := eng.runCalls(tr.Calls, i, i+1, &ln, &opts, false)
+		if err != nil {
+			return nil, err
 		}
-		if start > execT {
-			res.TotalBubble += start - execT
-			res.BubbleCount++
-			eng.rec.Stall(execT, start-execT, int32(f), int32(i))
-		}
-		// Make sure every compilation that finishes by the call's start is
-		// materialized, then pick the latest finished version.
-		eng.drainArrived(start)
-		level, ok := eng.versions[f].latestAt(start)
-		if !ok {
-			return nil, &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := p.ExecTime(f, level)
-		if opts.ExecVariation > 0 {
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed, i, opts.ExecVariation))
-		}
-		end := start + dur
-		eng.rec.ExecStart(start, int32(f), int32(level), int32(i))
-		eng.rec.ExecEnd(end, int32(f), int32(level), int32(i))
 		if period > 0 {
 			// Sampling ticks that land during this call observe f on the
 			// stack; ticks that land in a bubble observe nothing and pass.
 			for nextSample < start {
 				nextSample += period
 			}
-			for nextSample < end {
+			for nextSample < ln.t {
 				for _, r := range pol.Sample(f, nextSample) {
-					if err := enqueue(r.Func, r.Level, nextSample); err != nil {
+					if err := eng.enqueue(r.Func, r.Level, nextSample, true); err != nil {
 						return nil, err
 					}
 				}
@@ -415,14 +378,10 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 			res.CallStarts = append(res.CallStarts, start)
 			res.CallLevels = append(res.CallLevels, level)
 		}
-		res.TotalExec += dur
-		execT = end
 	}
 	eng.drainAll()
-	for f := range eng.versions {
-		res.FirstReady[f] = eng.versions[f].firstReady()
-	}
-	res.MakeSpan = execT
+	eng.fillFirstReady(res.FirstReady)
+	res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = ln.t, ln.exec, ln.bubble, ln.bubbles
 	return res, nil
 }
 

@@ -10,8 +10,8 @@ import (
 
 // ErrInterrupted reports that a run was abandoned because Options.Interrupt
 // fired. The simulated numbers accumulated so far are meaningless and are
-// never returned — Run and RunPolicy yield a nil Result alongside this
-// error.
+// never returned — every entry point yields a nil Result (and RunPolicyMT
+// nil thread results) alongside this error.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // ErrNoReadyVersion reports that execution reached a call at a time when no
@@ -30,6 +30,23 @@ type ErrNoReadyVersion struct {
 // Error implements the error interface.
 func (e *ErrNoReadyVersion) Error() string {
 	return fmt.Sprintf("sim: no compiled version of function %d was ready at time %d", e.Func, e.Time)
+}
+
+// TimeOverflowError reports an instance whose worst-case make-span does not
+// stay below the simulator's time range, 2^62 - 1 ticks, so some tick of a
+// run could overflow. Every entry point checks before simulating.
+type TimeOverflowError struct {
+	// Exec bounds the summed execution time (Σ_f calls(f)·max exec(f),
+	// scaled by 1+ExecVariation) and Compile the compile work (a static
+	// schedule's events, or every (function, level) pair for a policy run);
+	// both saturate at 2^62 - 1.
+	Exec, Compile int64
+}
+
+// Error implements the error interface.
+func (e *TimeOverflowError) Error() string {
+	return fmt.Sprintf("sim: worst-case make-span out of range: execution bound %d + compile budget %d reaches %d ticks",
+		e.Exec, e.Compile, timeInf)
 }
 
 // DeadlockError reports that the execution worker blocked waiting for a

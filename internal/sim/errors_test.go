@@ -21,12 +21,14 @@ func TestRunCallsNoReadyVersion(t *testing.T) {
 	tr := trace.New("inconsistent", []trace.FuncID{1, 0})
 	// Function 1 has a version from tick 0 on; function 0 was never
 	// compiled, so its call can never start.
-	versions := make([]versionList, 2)
-	versions[1].insert(0, 0)
-	res := &Result{}
-	err = runCalls(tr, p, versions, res, Options{})
+	var k kernel
+	if err := k.bind(p); err != nil {
+		t.Fatal(err)
+	}
+	k.versions[1].insert(0, 0)
+	_, _, err = k.runCalls(tr.Calls, 0, len(tr.Calls), &lane{}, &Options{}, false)
 	if err == nil {
-		t.Fatal("runCalls accepted a call to a never-compiled function")
+		t.Fatal("the kernel's call loop accepted a call to a never-compiled function")
 	}
 	var nrv *ErrNoReadyVersion
 	if !errors.As(err, &nrv) {
@@ -68,12 +70,11 @@ func TestDrainUntilReadyDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &engine{
-		p:        p,
-		queue:    compileQueue{pool: newWorkerPool(1)},
-		versions: make([]versionList, 2),
-		res:      &Result{},
+	eng := &engine{res: &Result{}, opts: &Options{}}
+	if err := eng.bind(p); err != nil {
+		t.Fatal(err)
 	}
+	eng.pool.reset(1)
 	// One pending compilation of function 1; the executor blocks on
 	// function 0, which nothing in the queue can ever satisfy.
 	eng.queue.push(pendingReq{f: 1, level: 0, arrival: 0, first: true, seq: 1})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/profile"
@@ -23,11 +24,11 @@ import (
 //
 // # Identical-results contract
 //
-// Evaluator.Run computes exactly what sim.Run computes: same Result fields,
-// same error values, same Recorder event stream, tick for tick. The fast
-// path changes how the numbers are computed, never which numbers. The
-// differential tests in evaluator_test.go pin this across the fuzz seed
-// corpus.
+// Evaluator.Run and sim.Run are the same kernel replay (kernel.go): same
+// Result fields, same error values, same Recorder event stream, tick for
+// tick. The evaluator only keeps the kernel's arenas across runs. The
+// differential tests in evaluator_test.go pin both against the frozen
+// reference simulator in reference_test.go across the fuzz seed corpus.
 //
 // # Delta evaluation
 //
@@ -46,39 +47,20 @@ import (
 // evaluator per worker. Results returned by Run alias the evaluator's arena
 // and are valid only until the next Run/MakeSpanOf call.
 type Evaluator struct {
-	tr     *trace.Trace
-	p      *profile.Profile
-	nf     int
-	levels int
-	// compile[f*levels+l] and exec[f*levels+l] flatten the profile tables.
-	compile []int64
-	exec    []int64
+	kernel
+	tr *trace.Trace
 
-	// Per-run scratch, reused across Run calls.
-	versions   []versionList
-	pool       workerPool
-	res        Result
-	compiles   []CompileRecord
-	firstReady []int64
-	compiled   []bool
-
-	// Per-call records of the last Run; always filled (they double as the
-	// delta baseline), exposed on the Result only under Options.RecordCalls.
-	callStarts []int64
-	callEnds   []int64
-	callLevels []profile.Level
-
-	// Baseline of the last successful Run, for delta evaluation.
+	// Baseline of the last successful Run, for delta evaluation. The
+	// baseline's per-call starts and levels are the kernel's call records.
 	baseValid bool
 	baseSched Schedule
 	baseCfg   Config
 	baseOpts  Options
 	baseSpan  int64
 
-	// Delta scratch: the edited schedule's compile side is rebuilt here so
+	// delta holds an edited schedule's compile side over the same tables, so
 	// the baseline's version lists stay untouched.
-	dVersions []versionList
-	dPool     workerPool
+	delta kernel
 
 	runs int64
 }
@@ -96,72 +78,21 @@ func NewEvaluator(tr *trace.Trace, p *profile.Profile) (*Evaluator, error) {
 
 // Reset rebinds the evaluator to a new (trace, profile) pair, reusing every
 // arena whose capacity already suffices — the flattened time tables, the
-// version lists (including their inner storage), the per-call records, and
-// the worker pools. It performs the same validation, with the same error
-// strings, as NewEvaluator; on error the evaluator is left unusable until a
-// successful Reset. Any delta baseline is discarded. This is what lets a
-// long-lived arena (e.g. core's IAR arena, the online replanner) follow a
-// growing visible prefix without reallocating its buffers each rebind.
+// version lists, the per-call records, and the worker pools. It performs the
+// same validation, with the same error strings, as NewEvaluator; on error the
+// evaluator is left unusable until a successful Reset. Any delta baseline is
+// discarded. This is what lets a long-lived arena (e.g. core's IAR arena, the
+// online replanner) follow a growing visible prefix without reallocating its
+// buffers each rebind.
 func (e *Evaluator) Reset(tr *trace.Trace, p *profile.Profile) error {
-	nf, levels := p.NumFuncs(), p.Levels
 	e.baseValid = false
-	if levels <= 0 {
-		return fmt.Errorf("sim: evaluator needs a profile with positive Levels, got %d", levels)
+	if err := e.bind(p); err != nil {
+		return err
 	}
-	for f := range p.Funcs {
-		ft := &p.Funcs[f]
-		if len(ft.Compile) != levels || len(ft.Exec) != levels {
-			return fmt.Errorf("sim: evaluator: function %d has %d compile / %d exec levels, want %d",
-				f, len(ft.Compile), len(ft.Exec), levels)
-		}
-	}
-	e.tr, e.p, e.nf, e.levels = tr, p, nf, levels
-	e.compile = growN(e.compile, nf*levels)
-	e.exec = growN(e.exec, nf*levels)
-	e.firstReady = growN(e.firstReady, nf)
-	e.compiled = growN(e.compiled, nf)
-	// Version lists keep their inner done/levels storage when the slice only
-	// changes length; Run truncates each list before use.
-	e.versions = growKeep(e.versions, nf)
-	e.dVersions = growKeep(e.dVersions, nf)
-	if cap(e.callStarts) < tr.Len() {
-		e.callStarts = make([]int64, 0, tr.Len())
-		e.callEnds = make([]int64, 0, tr.Len())
-		e.callLevels = make([]profile.Level, 0, tr.Len())
-	} else {
-		e.callStarts = e.callStarts[:0]
-		e.callEnds = e.callEnds[:0]
-		e.callLevels = e.callLevels[:0]
-	}
-	for f := 0; f < nf; f++ {
-		ft := &p.Funcs[f]
-		for l := 0; l < levels; l++ {
-			e.compile[f*levels+l] = ft.Compile[l]
-			e.exec[f*levels+l] = ft.Exec[l]
-		}
-	}
+	e.tr = tr
+	e.delta.nf, e.delta.levels, e.delta.compile, e.delta.exec = e.nf, e.levels, e.compile, e.exec
+	e.delta.versions = growN(e.delta.versions, e.nf)
 	return nil
-}
-
-// growN resizes a scratch slice to n elements, reusing the backing array when
-// it is large enough. Callers overwrite (or clear) the contents themselves.
-func growN[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// growKeep resizes a slice of version lists, preserving surviving elements'
-// inner storage (growN would do the same via the backing array; this variant
-// exists to copy the old elements when the backing array must be replaced).
-func growKeep(s []versionList, n int) []versionList {
-	if cap(s) < n {
-		ns := make([]versionList, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
 }
 
 // Run replays a static compilation schedule exactly as sim.Run does,
@@ -169,96 +100,10 @@ func growKeep(s []versionList, n int) []versionList {
 // next call on this evaluator.
 func (e *Evaluator) Run(sched Schedule, cfg Config, opts Options) (*Result, error) {
 	e.baseValid = false
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
-	if err := opts.validate(); err != nil {
+	res, err := e.replay(e.tr, sched, cfg, &opts, true)
+	if err != nil {
 		return nil, err
 	}
-	// Inline schedule validation: the same checks, in the same order, with
-	// the same messages as Schedule.Validate, against the reusable buffer.
-	clear(e.compiled)
-	for i, ev := range sched {
-		if ev.Func < 0 || int(ev.Func) >= e.nf {
-			return nil, fmt.Errorf("sim: schedule event %d references unknown function %d", i, ev.Func)
-		}
-		if ev.Level < 0 || int(ev.Level) >= e.levels {
-			return nil, fmt.Errorf("sim: schedule event %d uses level %d outside [0,%d)", i, ev.Level, e.levels)
-		}
-		e.compiled[ev.Func] = true
-	}
-	for i, f := range e.tr.Calls {
-		if int(f) >= len(e.compiled) || !e.compiled[f] {
-			return nil, fmt.Errorf("sim: call %d invokes function %d which the schedule never compiles", i, f)
-		}
-	}
-
-	res := &e.res
-	*res = Result{Compiles: e.compiles[:0], FirstReady: e.firstReady}
-	for f := range e.versions {
-		e.versions[f].done = e.versions[f].done[:0]
-		e.versions[f].levels = e.versions[f].levels[:0]
-	}
-	if cap(e.pool.free) < cfg.CompileWorkers {
-		e.pool.free = make([]int64, cfg.CompileWorkers)
-	} else {
-		e.pool.free = e.pool.free[:cfg.CompileWorkers]
-		clear(e.pool.free)
-	}
-
-	rec := opts.Recorder
-	for si, ev := range sched {
-		w, start, done := e.pool.assign(0, e.compile[int(ev.Func)*e.levels+int(ev.Level)])
-		res.Compiles = append(res.Compiles, CompileRecord{Event: ev, Start: start, Done: done, Worker: w})
-		rec.CompileStart(start, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		rec.CompileEnd(done, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		e.versions[ev.Func].insert(done, ev.Level)
-		res.CompileBusy += done - start
-		if done > res.CompileEnd {
-			res.CompileEnd = done
-		}
-	}
-	e.compiles = res.Compiles
-	for f := range e.versions {
-		e.firstReady[f] = e.versions[f].firstReady()
-	}
-
-	starts, ends, lvls := e.callStarts[:0], e.callEnds[:0], e.callLevels[:0]
-	var execT int64
-	for i, f := range e.tr.Calls {
-		start := execT
-		if ready := e.versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		if start > execT {
-			res.TotalBubble += start - execT
-			res.BubbleCount++
-			rec.Stall(execT, start-execT, int32(f), int32(i))
-		}
-		level, ok := e.versions[f].latestAt(start)
-		if !ok {
-			e.callStarts, e.callEnds, e.callLevels = starts, ends, lvls
-			return nil, &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := e.exec[int(f)*e.levels+int(level)]
-		if opts.ExecVariation > 0 {
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed, i, opts.ExecVariation))
-		}
-		starts = append(starts, start)
-		ends = append(ends, start+dur)
-		lvls = append(lvls, level)
-		rec.ExecStart(start, int32(f), int32(level), int32(i))
-		rec.ExecEnd(start+dur, int32(f), int32(level), int32(i))
-		res.TotalExec += dur
-		execT = start + dur
-	}
-	res.MakeSpan = execT
-	e.callStarts, e.callEnds, e.callLevels = starts, ends, lvls
-	if opts.RecordCalls {
-		res.CallStarts = starts
-		res.CallLevels = lvls
-	}
-
 	e.runs++
 	evalCounters.runs.Add(1)
 	if e.runs > 1 {
@@ -311,7 +156,7 @@ func (e *Evaluator) MakeSpanOf(sched Schedule, cfg Config, opts Options) (int64,
 			if kind == diffSame {
 				return e.baseSpan, nil
 			}
-			return e.editedMakeSpan(ed)
+			return e.editedMakeSpan(ed, &opts)
 		}
 	}
 	evalCounters.deltaFull.Add(1)
@@ -379,7 +224,7 @@ func (e *Evaluator) UpgradedMakeSpan(pos int, level profile.Level) (int64, error
 	}
 	evalCounters.deltaFast.Add(1)
 	return e.editedMakeSpan(Edit{Kind: EditUpgrade, Pos: pos,
-		Event: CompileEvent{Func: e.baseSched[pos].Func, Level: level}})
+		Event: CompileEvent{Func: e.baseSched[pos].Func, Level: level}}, &e.baseOpts)
 }
 
 // AppendedMakeSpan returns the make-span of the baseline schedule with ev
@@ -396,12 +241,13 @@ func (e *Evaluator) AppendedMakeSpan(ev CompileEvent) (int64, error) {
 		return 0, fmt.Errorf("sim: delta append uses level %d outside [0,%d)", ev.Level, e.levels)
 	}
 	evalCounters.deltaFast.Add(1)
-	return e.editedMakeSpan(Edit{Kind: EditAppend, Event: ev})
+	return e.editedMakeSpan(Edit{Kind: EditAppend, Event: ev}, &e.baseOpts)
 }
 
 // editedMakeSpan computes the edited schedule's make-span by rebuilding the
-// compile side in the delta scratch and resuming the execution loop at the
-// first call the edit can affect.
+// compile side in the delta kernel and resuming the call loop at the first
+// call the edit can affect. opts supplies the variation (equal to the
+// baseline's) and the Interrupt channel.
 //
 // Correctness: let tAffect be the minimum over all events whose finished
 // version changed of min(old finish, new finish). Every recorded call start
@@ -409,90 +255,62 @@ func (e *Evaluator) AppendedMakeSpan(ev CompileEvent) (int64, error) {
 // only versions finishing at or before its start — all unchanged — and its
 // start, level, and end are identical in the edited run. The loop therefore
 // resumes at the first baseline call start >= tAffect (binary search; starts
-// are non-decreasing) with the predecessor's end as the exec clock.
-func (e *Evaluator) editedMakeSpan(ed Edit) (int64, error) {
-	w := e.baseCfg.CompileWorkers
-	for f := range e.dVersions {
-		e.dVersions[f].done = e.dVersions[f].done[:0]
-		e.dVersions[f].levels = e.dVersions[f].levels[:0]
+// are non-decreasing) with the predecessor's end as the exec clock, obtained
+// by replaying the (unaffected) predecessor from its recorded start.
+func (e *Evaluator) editedMakeSpan(ed Edit, opts *Options) (int64, error) {
+	cell := func(ev CompileEvent) int64 { return max(e.compile[int(ev.Func)*e.levels+int(ev.Level)], 0) }
+	budget := e.budget
+	if ed.Kind == EditUpgrade {
+		budget -= cell(e.baseSched[ed.Pos])
 	}
-	if cap(e.dPool.free) < w {
-		e.dPool.free = make([]int64, w)
-	} else {
-		e.dPool.free = e.dPool.free[:w]
-		clear(e.dPool.free)
+	if err := checkTimeBounds(e.execBound, addSat(budget, cell(ed.Event))); err != nil {
+		return 0, err
 	}
 
-	const inf = int64(1) << 62
-	tAffect := inf
+	d := &e.delta
+	extra := trace.FuncID(-1)
+	if ed.Kind == EditAppend {
+		extra = ed.Event.Func
+	}
+	d.pool.reset(e.baseCfg.CompileWorkers)
+	d.carve(e.nEvents, len(e.baseSched), extra)
+	tAffect := timeInf
 	for j, ev := range e.baseSched {
-		level := ev.Level
+		edited := ev
 		if ed.Kind == EditUpgrade && j == ed.Pos {
-			level = ed.Event.Level
+			edited = ed.Event
 		}
-		_, _, done := e.dPool.assign(0, e.compile[int(ev.Func)*e.levels+int(level)])
-		e.dVersions[ev.Func].insert(done, level)
-		old := e.compiles[j].Done
+		done := d.compileStep(edited, 0, nil, nil)
 		// A shifted finish time affects calls from min(old, new) on; a level
 		// change with an unshifted finish still swaps the version visible
 		// from that finish time on.
-		if done != old || level != ev.Level {
-			m := done
-			if old < m {
-				m = old
-			}
-			if m < tAffect {
-				tAffect = m
-			}
+		if old := e.compiles[j].Done; done != old || edited.Level != ev.Level {
+			tAffect = min(tAffect, done, old)
 		}
 	}
 	if ed.Kind == EditAppend {
-		_, _, done := e.dPool.assign(0, e.compile[int(ed.Event.Func)*e.levels+int(ed.Event.Level)])
-		e.dVersions[ed.Event.Func].insert(done, ed.Event.Level)
-		if done < tAffect {
-			tAffect = done
-		}
+		tAffect = min(tAffect, d.compileStep(ed.Event, 0, nil, nil))
 	}
-	if tAffect == inf {
+	if tAffect == timeInf {
 		return e.baseSpan, nil
 	}
 
-	n := len(e.tr.Calls)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.callStarts[mid] >= tAffect {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	idx := lo
-	if idx == n {
+	calls := e.tr.Calls
+	idx, _ := slices.BinarySearch(e.starts, tAffect)
+	if idx == len(calls) {
 		return e.baseSpan, nil
 	}
-	var execT int64
+	// Resume one call early, from its recorded start: that call is
+	// unaffected, so replaying it restores the exec clock at idx.
+	var ln lane
 	if idx > 0 {
-		execT = e.callEnds[idx-1]
+		idx--
+		ln.t = e.starts[idx]
 	}
-	mag, seed := e.baseOpts.ExecVariation, e.baseOpts.ExecVariationSeed
-	for i := idx; i < n; i++ {
-		f := e.tr.Calls[i]
-		start := execT
-		if ready := e.dVersions[f].firstReady(); ready > start {
-			start = ready
-		}
-		level, ok := e.dVersions[f].latestAt(start)
-		if !ok {
-			return 0, &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := e.exec[int(f)*e.levels+int(level)]
-		if mag > 0 {
-			dur = scaleDuration(dur, CallFactor(seed, i, mag))
-		}
-		execT = start + dur
+	if _, _, err := d.runCalls(calls, idx, len(calls), &ln, opts, false); err != nil {
+		return 0, err
 	}
-	return execT, nil
+	return ln.t, nil
 }
 
 // evalCounters aggregates evaluator activity process-wide; `jitsched exp

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/profile"
@@ -101,16 +103,16 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 	wv, gv := reflect.ValueOf(*want), reflect.ValueOf(*got)
 	for i := 0; i < wv.NumField(); i++ {
 		if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Errorf("%s: Result.%s differs: sim.Run=%v evaluator=%v",
+			t.Errorf("%s: Result.%s differs: reference=%v got=%v",
 				tag, wv.Type().Field(i).Name, wv.Field(i).Interface(), gv.Field(i).Interface())
 		}
 	}
 }
 
 // TestEvaluatorMatchesRunOnCorpus pins the identical-results contract: over
-// the whole fuzz seed corpus, every Result field the evaluator produces is
-// bit-identical to sim.Run's, across worker counts, options, and repeated
-// (warm) runs.
+// the whole fuzz seed corpus, every Result field sim.Run and the evaluator
+// produce is bit-identical to the frozen reference simulator's, across worker
+// counts, options, and repeated (warm) runs.
 func TestEvaluatorMatchesRunOnCorpus(t *testing.T) {
 	for _, tr := range corpusTraces(t) {
 		nf := tr.NumFuncs()
@@ -129,10 +131,15 @@ func TestEvaluatorMatchesRunOnCorpus(t *testing.T) {
 				{RecordCalls: true},
 				{RecordCalls: true, ExecVariation: 0.3, ExecVariationSeed: 42},
 			} {
-				want, err := Run(tr, p, sched, cfg, opts)
+				want, err := refRun(tr, p, sched, cfg, opts)
+				if err != nil {
+					t.Fatalf("%s: reference run: %v", tr.Name, err)
+				}
+				got, err := Run(tr, p, sched, cfg, opts)
 				if err != nil {
 					t.Fatalf("%s: sim.Run: %v", tr.Name, err)
 				}
+				diffResults(t, tr.Name+" sim.Run", want, got)
 				for pass := 0; pass < 2; pass++ { // second pass runs warm
 					got, err := eval.Run(sched, cfg, opts)
 					if err != nil {
@@ -145,8 +152,8 @@ func TestEvaluatorMatchesRunOnCorpus(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesRunErrors checks the failure paths return the same
-// errors as sim.Run.
+// TestEvaluatorMatchesRunErrors checks the failure paths of sim.Run and the
+// evaluator return the same errors as the frozen reference simulator.
 func TestEvaluatorMatchesRunErrors(t *testing.T) {
 	tr := trace.New("err", []trace.FuncID{0, 1, 0})
 	p := testkit.Synth(2, profile.DefaultTiming(3, 7))
@@ -167,13 +174,16 @@ func TestEvaluatorMatchesRunErrors(t *testing.T) {
 		{"bad variation", Schedule{{Func: 0, Level: 0}, {Func: 1, Level: 0}}, DefaultConfig(), Options{ExecVariation: 2}},
 	}
 	for _, tc := range cases {
-		_, wantErr := Run(tr, p, tc.sched, tc.cfg, tc.opts)
-		_, gotErr := eval.Run(tc.sched, tc.cfg, tc.opts)
-		if wantErr == nil || gotErr == nil {
-			t.Fatalf("%s: expected both paths to fail, got sim.Run=%v evaluator=%v", tc.name, wantErr, gotErr)
+		_, wantErr := refRun(tr, p, tc.sched, tc.cfg, tc.opts)
+		_, runErr := Run(tr, p, tc.sched, tc.cfg, tc.opts)
+		_, evalErr := eval.Run(tc.sched, tc.cfg, tc.opts)
+		if wantErr == nil || runErr == nil || evalErr == nil {
+			t.Fatalf("%s: expected every path to fail, got reference=%v sim.Run=%v evaluator=%v", tc.name, wantErr, runErr, evalErr)
 		}
-		if wantErr.Error() != gotErr.Error() {
-			t.Errorf("%s: error mismatch:\n  sim.Run:   %v\n  evaluator: %v", tc.name, wantErr, gotErr)
+		for _, gotErr := range []error{runErr, evalErr} {
+			if wantErr.Error() != gotErr.Error() {
+				t.Errorf("%s: error mismatch:\n  reference: %v\n  got:       %v", tc.name, wantErr, gotErr)
+			}
 		}
 	}
 }
@@ -213,7 +223,7 @@ func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 					level := profile.Level(rng.Intn(p.Levels))
 					edited := sched.Clone()
 					edited[pos].Level = level
-					want, err := Run(tr, p, edited, cfg, opts)
+					want, err := refRun(tr, p, edited, cfg, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -232,7 +242,7 @@ func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 						Level: profile.Level(rng.Intn(p.Levels)),
 					}
 					edited := append(sched.Clone(), ev)
-					want, err := Run(tr, p, edited, cfg, opts)
+					want, err := refRun(tr, p, edited, cfg, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -252,7 +262,7 @@ func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 
 // TestMakeSpanOfFallback checks the transparent entry point: one-edit
 // candidates ride the fast path, anything else falls back to a full run, and
-// both agree with sim.Run in every case.
+// both agree with the frozen reference simulator in every case.
 func TestMakeSpanOfFallback(t *testing.T) {
 	tr, p, sched := deltaWorkload(t, 29)
 	cfg := DefaultConfig()
@@ -266,7 +276,7 @@ func TestMakeSpanOfFallback(t *testing.T) {
 
 	check := func(name string, cand Schedule, cfg Config, opts Options) {
 		t.Helper()
-		want, err := Run(tr, p, cand, cfg, opts)
+		want, err := refRun(tr, p, cand, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +285,7 @@ func TestMakeSpanOfFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want.MakeSpan {
-			t.Errorf("%s: MakeSpanOf %d != sim.Run %d", name, got, want.MakeSpan)
+			t.Errorf("%s: MakeSpanOf %d != reference %d", name, got, want.MakeSpan)
 		}
 	}
 
@@ -438,6 +448,38 @@ func BenchmarkEvaluatorDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.UpgradedMakeSpan(i%len(sched), profile.Level(i%p.Levels)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunConcurrent: Run recycles its kernel scratch through a pool, so
+// concurrent runs must neither share state nor hand out recycled buffers.
+func TestRunConcurrent(t *testing.T) {
+	tr, p, sched := deltaWorkload(t, 53)
+	want, err := refRun(tr, p, sched, DefaultConfig(), Options{RecordCalls: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	results := make([]*Result, 8)
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				res, err := Run(tr, p, sched, DefaultConfig(), Options{RecordCalls: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = res
+			}
+		}()
+	}
+	wg.Wait()
+	for g, res := range results {
+		if res != nil {
+			diffResults(t, fmt.Sprintf("goroutine %d", g), want, res)
 		}
 	}
 }

@@ -30,10 +30,10 @@ type ThreadResult struct {
 type mtThread struct {
 	calls      []trace.FuncID
 	idx        int
-	clock      int64 // when the thread can issue its next call
-	issued     bool  // the current call's requests have been emitted
+	ln         lane // the thread's clock and totals
+	issued     bool // the current call's requests have been emitted
 	nextSample int64
-	res        ThreadResult
+	opts       Options // with the thread id mixed into the variation seed
 }
 
 // RunPolicyMT drives per-thread call sequences through an online policy on
@@ -48,18 +48,6 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 	if len(threads) == 0 {
 		return nil, nil, fmt.Errorf("sim: RunPolicyMT needs at least one thread")
 	}
-	if cfg.CompileWorkers < 1 {
-		return nil, nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
-	if cfg.Discipline != FIFO && cfg.Discipline != FirstCompileFirst {
-		return nil, nil, fmt.Errorf("sim: unknown queue discipline %d", cfg.Discipline)
-	}
-	if pol == nil {
-		return nil, nil, fmt.Errorf("sim: RunPolicyMT needs a non-nil policy")
-	}
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
 	if opts.RecordCalls {
 		return nil, nil, fmt.Errorf("sim: RecordCalls is not supported for multi-threaded runs")
 	}
@@ -68,68 +56,30 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		// interleaved threads would produce overlapping exec spans.
 		return nil, nil, fmt.Errorf("sim: Options.Recorder is not supported for multi-threaded runs")
 	}
-	nf := p.NumFuncs()
+	eng, err := newEngine("RunPolicyMT", threads, p, pol, cfg, &opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := eng.res
 	period := pol.SamplePeriod()
 	if period < 0 {
 		return nil, nil, fmt.Errorf("sim: policy sample period must be >= 0, got %d", period)
 	}
 
-	res := &Result{FirstReady: make([]int64, nf)}
-	for f := range res.FirstReady {
-		res.FirstReady[f] = -1
-	}
-	eng := &engine{
-		p:        p,
-		queue:    compileQueue{discipline: cfg.Discipline, pool: newWorkerPool(cfg.CompileWorkers)},
-		versions: make([]versionList, nf),
-		res:      res,
-	}
-	maxRequested := make([]profile.Level, nf)
-	requested := make([]bool, nf)
-	seq := 0
-	enqueue := func(f trace.FuncID, l profile.Level, arrival int64) error {
-		if l < 0 || int(l) >= p.Levels {
-			return fmt.Errorf("sim: policy requested level %d for function %d outside [0,%d)", l, f, p.Levels)
-		}
-		if requested[f] && l <= maxRequested[f] {
-			return nil
-		}
-		first := !requested[f]
-		requested[f] = true
-		maxRequested[f] = l
-		seq++
-		if first {
-			for _, r := range eng.queue.pending {
-				if !r.first {
-					res.FirstBehindRecompiles++
-					break
-				}
-			}
-		}
-		eng.queue.push(pendingReq{f: f, level: l, arrival: arrival, first: first, seq: seq})
-		if n := len(eng.queue.pending); n > res.MaxPending {
-			res.MaxPending = n
-		}
-		return nil
-	}
-
 	ts := make([]*mtThread, len(threads))
-	callNum := make([]int64, nf) // global invocation counts, shared
+	callNum := make([]int64, eng.nf) // global invocation counts, shared
 	for i, tr := range threads {
-		if err := tr.Validate(nf); err != nil {
-			return nil, nil, err
-		}
-		ts[i] = &mtThread{calls: tr.Calls, nextSample: period}
+		ts[i] = &mtThread{calls: tr.Calls, nextSample: period, opts: opts}
+		ts[i].opts.ExecVariationSeed += int64(i) * 1_000_003
 	}
 
-	const inf = int64(1)<<62 - 1
 	for {
 		// Candidate events: the next compile assignment and each thread's
 		// next step (issue its call's requests, or start executing once a
 		// version is ready). Assignments commit first on ties: they unblock.
 		na, havePending := eng.nextAssignTime()
 		bestThread := -1
-		bestTime := inf
+		bestTime := timeInf
 		bestIsIssue := false
 		for i, t := range ts {
 			if t.idx >= len(t.calls) {
@@ -138,15 +88,11 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 			f := t.calls[t.idx]
 			switch {
 			case !t.issued:
-				if t.clock < bestTime {
-					bestTime, bestThread, bestIsIssue = t.clock, i, true
+				if t.ln.t < bestTime {
+					bestTime, bestThread, bestIsIssue = t.ln.t, i, true
 				}
 			case eng.versions[f].firstReady() >= 0:
-				start := t.clock
-				if r := eng.versions[f].firstReady(); r > start {
-					start = r
-				}
-				if start < bestTime {
+				if start := eng.readyAt(f, t.ln.t); start < bestTime {
 					bestTime, bestThread, bestIsIssue = start, i, false
 				}
 			}
@@ -167,13 +113,13 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		f := t.calls[t.idx]
 		if bestIsIssue {
 			callNum[f]++
-			for _, r := range pol.BeforeCall(f, callNum[f], t.clock) {
-				if err := enqueue(r.Func, r.Level, t.clock); err != nil {
+			for _, r := range pol.BeforeCall(f, callNum[f], t.ln.t) {
+				if err := eng.enqueue(r.Func, r.Level, t.ln.t, false); err != nil {
 					return nil, nil, err
 				}
 			}
-			if !requested[f] {
-				if err := enqueue(f, pol.FirstCall(f, t.clock), t.clock); err != nil {
+			if !eng.requested[f] {
+				if err := eng.enqueue(f, pol.FirstCall(f, t.ln.t), t.ln.t, false); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -181,56 +127,37 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 			continue
 		}
 
-		// Execute the call.
-		start := bestTime
-		if start > t.clock {
-			t.res.Bubble += start - t.clock
+		// Execute the call, which starts at the bestTime just selected.
+		eng.drainArrived(bestTime)
+		start, _, err := eng.runCalls(t.calls, t.idx, t.idx+1, &t.ln, &t.opts, false)
+		if err != nil {
+			return nil, nil, err
 		}
-		eng.drainArrived(start)
-		level, ok := eng.versions[f].latestAt(start)
-		if !ok {
-			return nil, nil, &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := p.ExecTime(f, level)
-		if opts.ExecVariation > 0 {
-			// Per-call factors key on a global, order-independent index:
-			// thread id mixed with the thread-local call index.
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed+int64(bestThread)*1_000_003, t.idx, opts.ExecVariation))
-		}
-		end := start + dur
 		if period > 0 {
 			for t.nextSample < start {
 				t.nextSample += period
 			}
-			for t.nextSample < end {
+			for t.nextSample < t.ln.t {
 				for _, r := range pol.Sample(f, t.nextSample) {
-					if err := enqueue(r.Func, r.Level, t.nextSample); err != nil {
+					if err := eng.enqueue(r.Func, r.Level, t.nextSample, false); err != nil {
 						return nil, nil, err
 					}
 				}
 				t.nextSample += period
 			}
 		}
-		t.res.Exec += dur
-		t.res.Calls++
-		t.res.Finish = end
-		t.clock = end
 		t.idx++
 		t.issued = false
 	}
 
 	eng.drainAll()
-	for f := range eng.versions {
-		res.FirstReady[f] = eng.versions[f].firstReady()
-	}
+	eng.fillFirstReady(res.FirstReady)
 	perThread := make([]ThreadResult, len(ts))
 	for i, t := range ts {
-		perThread[i] = t.res
-		res.TotalExec += t.res.Exec
-		res.TotalBubble += t.res.Bubble
-		if t.res.Finish > res.MakeSpan {
-			res.MakeSpan = t.res.Finish
-		}
+		perThread[i] = ThreadResult{Finish: t.ln.t, Exec: t.ln.exec, Bubble: t.ln.bubble, Calls: t.idx}
+		res.TotalExec += t.ln.exec
+		res.TotalBubble += t.ln.bubble
+		res.MakeSpan = max(res.MakeSpan, t.ln.t)
 	}
 	return res, perThread, nil
 }

@@ -112,21 +112,30 @@ func TestRunPolicyMTRejectsRecorder(t *testing.T) {
 	}
 }
 
+// compiledKernel binds p and runs sched's compile side on one worker, so the
+// kernel's call loop can then be driven on its own.
+func compiledKernel(tb testing.TB, p *profile.Profile, sched Schedule) *kernel {
+	tb.Helper()
+	k := &kernel{}
+	if err := k.bind(p); err != nil {
+		tb.Fatal(err)
+	}
+	k.pool.reset(1)
+	for _, ev := range sched {
+		k.compileStep(ev, 0, nil, nil)
+	}
+	return k
+}
+
 // TestRecorderDisabledZeroAlloc is the acceptance gate for the overhead
-// contract: with the recorder disabled the execution loop must not allocate
-// at all. The Makefile bench-guard target runs this in CI.
+// contract: with the recorder disabled the kernel's call loop must not
+// allocate at all. The Makefile bench-guard target runs this in CI.
 func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	tr, p, sched := obsWorkload(t)
-	versions := make([]versionList, p.NumFuncs())
-	pool := newWorkerPool(1)
-	for _, ev := range sched {
-		_, _, done := pool.assign(0, p.CompileTime(ev.Func, ev.Level))
-		versions[ev.Func].insert(done, ev.Level)
-	}
-	res := &Result{}
+	k := compiledKernel(t, p, sched)
+	opts := &Options{}
 	allocs := testing.AllocsPerRun(200, func() {
-		res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = 0, 0, 0, 0
-		if err := runCalls(tr, p, versions, res, Options{}); err != nil {
+		if _, _, err := k.runCalls(tr.Calls, 0, len(tr.Calls), &lane{}, opts, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -135,8 +144,9 @@ func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchWorkload builds a larger schedule/trace pair for the benchmarks.
-func benchWorkload(b *testing.B) (*trace.Trace, *profile.Profile, []versionList) {
+// benchWorkload builds a larger schedule/trace pair for the benchmarks and
+// returns a kernel with the schedule compiled.
+func benchWorkload(b *testing.B) (*trace.Trace, *kernel) {
 	b.Helper()
 	const nf = 64
 	p, err := profile.Synthesize(nf, profile.DefaultTiming(3, 11))
@@ -147,26 +157,22 @@ func benchWorkload(b *testing.B) (*trace.Trace, *profile.Profile, []versionList)
 	for i := range calls {
 		calls[i] = trace.FuncID(i % nf)
 	}
-	tr := trace.New("bench", calls)
-	versions := make([]versionList, nf)
-	pool := newWorkerPool(1)
-	for f := 0; f < nf; f++ {
-		_, _, done := pool.assign(0, p.CompileTime(trace.FuncID(f), 0))
-		versions[f].insert(done, 0)
+	sched := make(Schedule, nf)
+	for f := range sched {
+		sched[f] = CompileEvent{Func: trace.FuncID(f)}
 	}
-	return tr, p, versions
+	return trace.New("bench", calls), compiledKernel(b, p, sched)
 }
 
-// BenchmarkRunCallsRecorderOff measures the execution loop with recording
-// disabled; it must report 0 allocs/op.
+// BenchmarkRunCallsRecorderOff measures the kernel's call loop with
+// recording disabled; it must report 0 allocs/op.
 func BenchmarkRunCallsRecorderOff(b *testing.B) {
-	tr, p, versions := benchWorkload(b)
-	res := &Result{}
+	tr, k := benchWorkload(b)
+	opts := &Options{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = 0, 0, 0, 0
-		if err := runCalls(tr, p, versions, res, Options{}); err != nil {
+		if _, _, err := k.runCalls(tr.Calls, 0, len(tr.Calls), &lane{}, opts, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,15 +181,14 @@ func BenchmarkRunCallsRecorderOff(b *testing.B) {
 // BenchmarkRunCallsRecorderOn measures the same loop with a reused recorder,
 // quantifying the per-event recording cost.
 func BenchmarkRunCallsRecorderOn(b *testing.B) {
-	tr, p, versions := benchWorkload(b)
-	res := &Result{}
+	tr, k := benchWorkload(b)
 	rec := obs.NewRecorder()
+	opts := &Options{Recorder: rec}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = 0, 0, 0, 0
 		rec.Reset()
-		if err := runCalls(tr, p, versions, res, Options{Recorder: rec}); err != nil {
+		if _, _, err := k.runCalls(tr.Calls, 0, len(tr.Calls), &lane{}, opts, false); err != nil {
 			b.Fatal(err)
 		}
 	}

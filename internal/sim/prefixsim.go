@@ -22,8 +22,10 @@ import (
 // executed calls c1..cN reports exactly what Evaluator.Run / sim.Run report
 // for the static schedule [e1..eM] over the trace [c1..cN] (no arrival
 // times, no variation, no recorder): the same call starts, the same
-// make-span, the same compile-finish times, tick for tick. The differential
-// tests in prefixsim_test.go pin this.
+// make-span, the same compile-finish times, tick for tick. It is the same
+// kernel (kernel.go) driven in append mode: AppendCompile is the compile
+// step, ExecCalls the call step. The differential tests in prefixsim_test.go
+// pin it against the frozen reference simulator in reference_test.go.
 //
 // The contract holds because appending never rewrites history: calls execute
 // sequentially, so earlier starts cannot depend on later calls; and a
@@ -39,20 +41,11 @@ import (
 // than AppendCompile's (which leaves the state untouched) the simulation is
 // mid-step and must be Reset before reuse.
 type PrefixSim struct {
-	nf      int
-	levels  int
-	workers int
-	// compile[f*levels+l] and exec[f*levels+l] flatten the profile tables,
-	// as in Evaluator.
-	compile []int64
-	exec    []int64
-
-	versions   []versionList
-	pool       workerPool
+	kernel
+	workers    int
 	dones      []int64
 	compileEnd int64
-	starts     []int64
-	execT      int64
+	ln         lane
 	called     []bool
 }
 
@@ -60,35 +53,15 @@ type PrefixSim struct {
 // machine configuration, with an empty schedule and no executed calls. The
 // profile is validated exactly as sim.NewEvaluator validates it.
 func NewPrefixSim(p *profile.Profile, cfg Config) (*PrefixSim, error) {
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	nf, levels := p.NumFuncs(), p.Levels
-	if levels <= 0 {
-		return nil, fmt.Errorf("sim: evaluator needs a profile with positive Levels, got %d", levels)
+	s := &PrefixSim{workers: cfg.CompileWorkers}
+	if err := s.bind(p); err != nil {
+		return nil, err
 	}
-	for f := range p.Funcs {
-		ft := &p.Funcs[f]
-		if len(ft.Compile) != levels || len(ft.Exec) != levels {
-			return nil, fmt.Errorf("sim: evaluator: function %d has %d compile / %d exec levels, want %d",
-				f, len(ft.Compile), len(ft.Exec), levels)
-		}
-	}
-	s := &PrefixSim{
-		nf: nf, levels: levels, workers: cfg.CompileWorkers,
-		compile:  make([]int64, nf*levels),
-		exec:     make([]int64, nf*levels),
-		versions: make([]versionList, nf),
-		pool:     workerPool{free: make([]int64, cfg.CompileWorkers)},
-		called:   make([]bool, nf),
-	}
-	for f := 0; f < nf; f++ {
-		ft := &p.Funcs[f]
-		for l := 0; l < levels; l++ {
-			s.compile[f*levels+l] = ft.Compile[l]
-			s.exec[f*levels+l] = ft.Exec[l]
-		}
-	}
+	s.called = make([]bool, s.nf)
+	s.Reset()
 	return s, nil
 }
 
@@ -97,15 +70,14 @@ func NewPrefixSim(p *profile.Profile, cfg Config) (*PrefixSim, error) {
 // reallocating.
 func (s *PrefixSim) Reset() {
 	for f := range s.versions {
-		s.versions[f].done = s.versions[f].done[:0]
-		s.versions[f].levels = s.versions[f].levels[:0]
+		s.versions[f] = s.versions[f][:0]
 	}
-	clear(s.pool.free)
+	s.pool.reset(s.workers)
 	clear(s.called)
 	s.dones = s.dones[:0]
 	s.starts = s.starts[:0]
 	s.compileEnd = 0
-	s.execT = 0
+	s.ln = lane{}
 }
 
 // AppendCompile appends one compile event at the schedule tail, assigning it
@@ -121,18 +93,14 @@ func (s *PrefixSim) AppendCompile(ev CompileEvent) error {
 	if ev.Level < 0 || int(ev.Level) >= s.levels {
 		return fmt.Errorf("sim: prefix schedule event uses level %d outside [0,%d)", ev.Level, s.levels)
 	}
-	best, free := s.pool.earliest()
-	done := free + s.compile[int(ev.Func)*s.levels+int(ev.Level)]
-	if s.called[ev.Func] && done < s.execT {
+	_, free := s.pool.earliest()
+	if done := free + s.compile[int(ev.Func)*s.levels+int(ev.Level)]; s.called[ev.Func] && done < s.ln.t {
 		return fmt.Errorf("sim: prefix append of function %d finishing at %d would rewrite history before exec clock %d",
-			ev.Func, done, s.execT)
+			ev.Func, done, s.ln.t)
 	}
-	s.pool.free[best] = done
-	s.versions[ev.Func].insert(done, ev.Level)
+	done := s.compileStep(ev, 0, nil, nil)
 	s.dones = append(s.dones, done)
-	if done > s.compileEnd {
-		s.compileEnd = done
-	}
+	s.compileEnd = max(s.compileEnd, done)
 	return nil
 }
 
@@ -140,20 +108,10 @@ func (s *PrefixSim) AppendCompile(ev CompileEvent) error {
 // clock. A call to a function with no appended compilation fails with
 // *ErrNoReadyVersion, as in the static simulators.
 func (s *PrefixSim) ExecCalls(calls []trace.FuncID) error {
+	if _, _, err := s.runCalls(calls, 0, len(calls), &s.ln, &Options{}, true); err != nil {
+		return err
+	}
 	for _, f := range calls {
-		if f < 0 || int(f) >= s.nf {
-			return fmt.Errorf("sim: prefix call invokes unknown function %d", f)
-		}
-		start := s.execT
-		if ready := s.versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		level, ok := s.versions[f].latestAt(start)
-		if !ok {
-			return &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		s.starts = append(s.starts, start)
-		s.execT = start + s.exec[int(f)*s.levels+int(level)]
 		s.called[f] = true
 	}
 	return nil
@@ -161,7 +119,7 @@ func (s *PrefixSim) ExecCalls(calls []trace.FuncID) error {
 
 // MakeSpan returns the execution clock: the end of the last executed call,
 // or 0 before any call.
-func (s *PrefixSim) MakeSpan() int64 { return s.execT }
+func (s *PrefixSim) MakeSpan() int64 { return s.ln.t }
 
 // CompileEnd returns the finish time of the latest-finishing appended
 // compile event, or 0 before any event.

@@ -26,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -56,24 +57,11 @@ func (s Schedule) TotalCompileTime(p *profile.Profile) int64 {
 // Validate checks that every event references a valid function and level and
 // that, if tr is non-nil, every called function is compiled at least once.
 func (s Schedule) Validate(tr *trace.Trace, p *profile.Profile) error {
-	compiled := make([]bool, p.NumFuncs())
-	for i, ev := range s {
-		if ev.Func < 0 || int(ev.Func) >= p.NumFuncs() {
-			return fmt.Errorf("sim: schedule event %d references unknown function %d", i, ev.Func)
-		}
-		if ev.Level < 0 || int(ev.Level) >= p.Levels {
-			return fmt.Errorf("sim: schedule event %d uses level %d outside [0,%d)", i, ev.Level, p.Levels)
-		}
-		compiled[ev.Func] = true
-	}
+	var calls []trace.FuncID
 	if tr != nil {
-		for i, f := range tr.Calls {
-			if int(f) >= len(compiled) || !compiled[f] {
-				return fmt.Errorf("sim: call %d invokes function %d which the schedule never compiles", i, f)
-			}
-		}
+		calls = tr.Calls
 	}
-	return nil
+	return validateSchedule(s, calls, p.Levels, make([]int32, p.NumFuncs()))
 }
 
 // Config selects the machine configuration.
@@ -92,6 +80,14 @@ type Config struct {
 // compilation on one other core.
 func DefaultConfig() Config { return Config{CompileWorkers: 1} }
 
+// validate reports a worker count below one.
+func (c Config) validate() error {
+	if c.CompileWorkers < 1 {
+		return fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", c.CompileWorkers)
+	}
+	return nil
+}
+
 // Options toggles optional result detail and per-call effects.
 type Options struct {
 	// RecordCalls captures per-call start times and code levels.
@@ -109,16 +105,19 @@ type Options struct {
 	// allocation-free, held to by BenchmarkRunCallsRecorderOff and
 	// TestRecorderDisabledZeroAlloc.
 	Recorder *obs.Recorder
-	// Interrupt, when non-nil, makes Run and RunPolicy abandon the
-	// simulation once the channel is closed (or receives): the execution
-	// loop polls it every interruptStride calls and returns ErrInterrupted.
+	// Interrupt, when non-nil, makes Run, Evaluator.Run and MakeSpanOf,
+	// RunPolicy and RunPolicyMT abandon the simulation once the channel is
+	// closed (or receives): the kernel's call step polls it every
+	// interruptStride calls (per thread in RunPolicyMT) and returns
+	// ErrInterrupted. UpgradedMakeSpan and AppendedMakeSpan poll the
+	// baseline run's channel.
 	// This is how a serving layer cancels a long replay — typically wired
 	// to a context's Done channel. A nil channel costs nothing; polling
 	// never changes the numbers of a run that finishes.
 	Interrupt <-chan struct{}
 }
 
-// interruptStride is how many calls the execution loop commits between
+// interruptStride is how many calls the call step commits between
 // Interrupt polls. Interruption only ever aborts a run, so the stride trades
 // promptness against per-call overhead without affecting surviving runs.
 const interruptStride = 1024
@@ -187,165 +186,29 @@ type Result struct {
 	FirstBehindRecompiles int
 }
 
-// versionList tracks one function's finished compilations ordered by finish
-// time, for "latest finished at or before t" lookups. Per-function lists stay
-// tiny (one entry per compilation of that function), so linear operations are
-// fine.
-type versionList struct {
-	done   []int64
-	levels []profile.Level
-}
-
-func (v *versionList) insert(done int64, l profile.Level) {
-	i := len(v.done)
-	for i > 0 && v.done[i-1] > done {
-		i--
-	}
-	v.done = append(v.done, 0)
-	v.levels = append(v.levels, 0)
-	copy(v.done[i+1:], v.done[i:])
-	copy(v.levels[i+1:], v.levels[i:])
-	v.done[i] = done
-	v.levels[i] = l
-}
-
-// latestAt returns the level of the latest compilation finished at or before
-// t, and whether any such version exists. Callers turn ok == false into a
-// structured *ErrNoReadyVersion instead of crashing the run.
-func (v *versionList) latestAt(t int64) (profile.Level, bool) {
-	for i := len(v.done) - 1; i >= 0; i-- {
-		if v.done[i] <= t {
-			return v.levels[i], true
-		}
-	}
-	return 0, false
-}
-
-func (v *versionList) firstReady() int64 {
-	if len(v.done) == 0 {
-		return -1
-	}
-	return v.done[0]
-}
-
-// workerPool assigns jobs to the earliest-free of w workers.
-type workerPool struct {
-	free []int64 // free[i] is when worker i becomes idle
-}
-
-func newWorkerPool(w int) *workerPool { return &workerPool{free: make([]int64, w)} }
-
-// assign runs a job of the given duration arriving at the given time on the
-// earliest-free worker and returns (worker, start, done).
-func (p *workerPool) assign(arrival, duration int64) (int, int64, int64) {
-	best, free := p.earliest()
-	start := free
-	if arrival > start {
-		start = arrival
-	}
-	done := start + duration
-	p.free[best] = done
-	return best, start, done
-}
-
-// earliest returns the earliest-free worker and its free time.
-func (p *workerPool) earliest() (worker int, free int64) {
-	best := 0
-	for i, f := range p.free {
-		if f < p.free[best] {
-			best = i
-		}
-	}
-	return best, p.free[best]
-}
-
-// set records that worker w is busy until t.
-func (p *workerPool) set(w int, t int64) { p.free[w] = t }
-
 // Run replays a static compilation schedule against the trace and returns the
 // resulting make-span. All compile events are available at time 0; this is
 // the mode in which the paper evaluates IAR, the single-level schemes, and
 // any precomputed schedule.
 func Run(tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opts Options) (*Result, error) {
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
-	if err := opts.validate(); err != nil {
+	k := kernels.Get().(*kernel)
+	defer func() {
+		// Drop the caller's buffers before the kernel goes back to the pool.
+		k.res, k.compiles, k.firstReady, k.starts, k.lvls = Result{}, nil, nil, nil, nil
+		kernels.Put(k)
+	}()
+	if err := k.bind(p); err != nil {
 		return nil, err
 	}
-	if err := sched.Validate(tr, p); err != nil {
+	res, err := k.replay(tr, sched, cfg, &opts, opts.RecordCalls)
+	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Compiles:   make([]CompileRecord, 0, len(sched)),
-		FirstReady: make([]int64, p.NumFuncs()),
-	}
-	versions := make([]versionList, p.NumFuncs())
-	pool := newWorkerPool(cfg.CompileWorkers)
-	rec := opts.Recorder
-	for si, ev := range sched {
-		w, start, done := pool.assign(0, p.CompileTime(ev.Func, ev.Level))
-		res.Compiles = append(res.Compiles, CompileRecord{Event: ev, Start: start, Done: done, Worker: w})
-		rec.CompileStart(start, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		rec.CompileEnd(done, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		versions[ev.Func].insert(done, ev.Level)
-		res.CompileBusy += done - start
-		if done > res.CompileEnd {
-			res.CompileEnd = done
-		}
-	}
-	for f := range versions {
-		res.FirstReady[f] = versions[f].firstReady()
-	}
-
-	if err := runCalls(tr, p, versions, res, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
+	out := *res
+	return &out, nil
 }
 
-// runCalls executes the trace against the prepared version lists, filling the
-// execution-side fields of res. A call reached before any version of its
-// function exists yields a *ErrNoReadyVersion.
-func runCalls(tr *trace.Trace, p *profile.Profile, versions []versionList, res *Result, opts Options) error {
-	if opts.RecordCalls {
-		res.CallStarts = make([]int64, 0, tr.Len())
-		res.CallLevels = make([]profile.Level, 0, tr.Len())
-	}
-	rec := opts.Recorder
-	intr := opts.Interrupt
-	var execT int64
-	for i, f := range tr.Calls {
-		if intr != nil && i%interruptStride == 0 && interrupted(intr) {
-			return ErrInterrupted
-		}
-		start := execT
-		if ready := versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		if start > execT {
-			res.TotalBubble += start - execT
-			res.BubbleCount++
-			rec.Stall(execT, start-execT, int32(f), int32(i))
-		}
-		level, ok := versions[f].latestAt(start)
-		if !ok {
-			return &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := p.ExecTime(f, level)
-		if opts.ExecVariation > 0 {
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed, i, opts.ExecVariation))
-		}
-		if opts.RecordCalls {
-			res.CallStarts = append(res.CallStarts, start)
-			res.CallLevels = append(res.CallLevels, level)
-		}
-		rec.ExecStart(start, int32(f), int32(level), int32(i))
-		rec.ExecEnd(start+dur, int32(f), int32(level), int32(i))
-		res.TotalExec += dur
-		execT = start + dur
-	}
-	res.MakeSpan = execT
-	return nil
-}
+// kernels recycles Run's private kernel scratch (tables, version lists,
+// worker pool). The buffers a Result exposes are never recycled: Run hands
+// the kernel back without them, so replay allocates them afresh.
+var kernels = sync.Pool{New: func() any { return new(kernel) }}

@@ -26,12 +26,19 @@ func figure1Profile() *profile.Profile {
 	}
 }
 
+// mustRun runs sim.Run and checks every Result field against the frozen
+// reference simulator, so the paper-figure tests pin both.
 func mustRun(t *testing.T, tr *trace.Trace, p *profile.Profile, s Schedule, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(tr, p, s, cfg, Options{RecordCalls: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	want, err := refRun(tr, p, s, cfg, Options{RecordCalls: true})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	diffResults(t, tr.Name, want, res)
 	return res
 }
 
