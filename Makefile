@@ -2,15 +2,16 @@
 #
 # `make ci` is the full gate: formatting, vet, build, the benchmark module's
 # own vet and tests, the race-enabled test suite (including the runner's
-# differential tests under -cpu=1,4), short fuzz smokes (trace codecs, BnB
-# state keys, the scheduling service's request decoder), the serve-mode
+# differential tests under -cpu=1,4), repeated race runs of the service's
+# trace memo tests, short fuzz smokes (trace codecs, BnB state keys, the
+# scheduling service's request decoder), the serve-mode
 # golden smoke, and the observability overhead guard. It needs nothing
 # beyond the Go toolchain.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test perfbench-test race runner-race fuzz-smoke serve-smoke oracle-short bench bench-guard bench-json bench-json-search bench-json-online bench-json-serve golden ci
+.PHONY: all build vet fmt-check test perfbench-test race runner-race memo-race fuzz-smoke serve-smoke oracle-short bench bench-guard bench-json bench-json-search bench-json-online bench-json-serve golden ci
 
 all: build
 
@@ -43,6 +44,12 @@ race:
 # and four simulated CPUs, race-clean.
 runner-race:
 	$(GO) test -race -cpu=1,4 -count=1 ./internal/runner/...
+
+# The scheduling service's trace memo under the race detector, five times
+# over: single-flight builds, follower deadlines and byte-bounded eviction
+# are timing-dependent, so one clean pass proves little.
+memo-race:
+	$(GO) test -race -count=5 -run Memo ./internal/server/
 
 # Short fuzz passes over both trace codecs (seed corpus in
 # internal/trace/testdata/fuzz/), the BnB state-key canonicalization
@@ -147,4 +154,4 @@ oracle-short:
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update
 
-ci: fmt-check vet build perfbench-test race runner-race fuzz-smoke serve-smoke oracle-short bench-guard bench-json bench-json-search bench-json-online bench-json-serve
+ci: fmt-check vet build perfbench-test race runner-race memo-race fuzz-smoke serve-smoke oracle-short bench-guard bench-json bench-json-search bench-json-online bench-json-serve

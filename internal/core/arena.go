@@ -109,23 +109,25 @@ func (a *IARArena) bind(tr *trace.Trace, p *profile.Profile) error {
 // initN1 runs the low-level init schedule (every function in first-appearance
 // order) through the arena's evaluator once and returns the per-function
 // count of calls issued while that schedule is still compiling — Formula 2's
-// f.n1. IAR and ClassifyIAR share this pass; it is the only recorded-calls
-// scan step 2 needs.
+// f.n1. IAR and ClassifyIAR share this pass; it is the only call-start scan
+// step 2 needs. Like every IAR pass it runs with Options{} and reads starts
+// through Evaluator.CallStarts, so no per-call level array is kept.
 func (a *IARArena) initN1(tr *trace.Trace, nf int, order []trace.FuncID, low profile.Level) ([]int64, error) {
 	s := a.initSched[:0]
 	for _, f := range order {
 		s = append(s, sim.CompileEvent{Func: f, Level: low})
 	}
 	a.initSched = s
-	res, err := a.eval.Run(s, sim.DefaultConfig(), sim.Options{RecordCalls: true})
+	res, err := a.eval.Run(s, sim.DefaultConfig(), sim.Options{})
 	if err != nil {
 		return nil, err
 	}
+	starts := a.eval.CallStarts()
 	n1 := arenaGrow(a.n1, nf)
 	a.n1 = n1
 	clear(n1)
 	for i, f := range tr.Calls {
-		if res.CallStarts[i] < res.CompileEnd {
+		if starts[i] < res.CompileEnd {
 			n1[f]++
 		}
 	}
@@ -192,7 +194,7 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 		return nil, err
 	}
 
-	// Steps 1 and 2a (init + n1): one recorded-calls pass over the low-level
+	// Steps 1 and 2a (init + n1): one call-start pass over the low-level
 	// init schedule yields Formula 2's per-function n1.
 	n1, err := a.initN1(tr, p.NumFuncs(), order, opts.LowLevel)
 	if err != nil {
@@ -242,24 +244,26 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 	// the replacements save, so the step is applied transactionally: keep
 	// the replacements only if a re-evaluation confirms they did not regress
 	// the make-span.
-	// gapRes, when non-nil, is a still-valid recorded run of the current
+	// gapRes, when non-nil, is a still-valid run of the current
 	// schedule that step 4 can reuse instead of re-simulating. Step 3's entry
 	// run qualifies exactly when step 3 ends up changing nothing: the schedule
-	// is the one it simulated and no evaluator call has clobbered the result —
+	// is the one it simulated and no evaluator call has clobbered the result or
+	// the evaluator's call starts —
 	// the "identical schedule" delta shape, answered with zero re-simulation.
 	var gapRes *sim.Result
 	if !opts.DisableFillSlack {
-		res, err := a.eval.Run(sched, sim.DefaultConfig(), sim.Options{RecordCalls: true})
+		res, err := a.eval.Run(sched, sim.DefaultConfig(), sim.Options{})
 		if err != nil {
 			return nil, err
 		}
 		// Consume the result before the verification pass reuses the arena.
 		baseSpan := res.MakeSpan
+		starts := a.eval.CallStarts()
 		firstCalls := tr.FirstCalls()
 		slack := arenaGrow(a.slack, len(funcs)) // indexed by init position
 		a.slack = slack
 		for i := range funcs {
-			slack[i] = res.CallStarts[firstCalls[funcs[i].f]] - res.Compiles[i].Done
+			slack[i] = starts[firstCalls[funcs[i].f]] - res.Compiles[i].Done
 		}
 		// suffMin[i] = min slack over positions >= i.
 		suffMin := arenaGrow(a.suffMin, len(funcs)+1)
@@ -332,11 +336,12 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 		res := gapRes
 		if res == nil {
 			var err error
-			res, err = a.eval.Run(sched, sim.DefaultConfig(), sim.Options{RecordCalls: true})
+			res, err = a.eval.Run(sched, sim.DefaultConfig(), sim.Options{})
 			if err != nil {
 				return nil, err
 			}
 		}
+		starts := a.eval.CallStarts()
 		tgap := res.MakeSpan - res.CompileEnd
 		if tgap > 0 {
 			maxLevel := arenaGrow(a.maxLevel, p.NumFuncs())
@@ -353,7 +358,7 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 			a.lateCalls = lateCalls
 			clear(lateCalls)
 			for i, f := range tr.Calls {
-				if res.CallStarts[i] >= res.CompileEnd {
+				if starts[i] >= res.CompileEnd {
 					lateCalls[f]++
 				}
 			}

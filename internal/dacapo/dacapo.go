@@ -117,19 +117,47 @@ func ByName(name string) (Benchmark, error) {
 
 // Load generates the benchmark's trace and timing profile. scale multiplies
 // ScaledLength; it is clamped to [1 call, FullLength]. Load(1) is the
-// default experimental size.
+// default experimental size. It composes TraceLength, LoadTrace and
+// LoadProfile.
 func (b Benchmark) Load(scale float64) (*Workload, error) {
+	n, err := b.TraceLength(scale)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := b.LoadTrace(n)
+	if err != nil {
+		return nil, err
+	}
+	p, err := b.LoadProfile()
+	if err != nil {
+		return nil, err
+	}
+	return &Workload{Bench: b, Trace: tr, Profile: p}, nil
+}
+
+// TraceLength resolves scale to the call count Load generates:
+// ScaledLength×scale clamped to [1, FullLength]. Scales that resolve to one
+// length load identical traces.
+func (b Benchmark) TraceLength(scale float64) (int, error) {
 	if scale <= 0 {
-		return nil, fmt.Errorf("dacapo: scale must be positive, got %g", scale)
+		return 0, fmt.Errorf("dacapo: scale must be positive, got %g", scale)
+	}
+	return max(min(b.scaledLength(scale), b.FullLength), 1), nil
+}
+
+// scaledLength is ScaledLength×scale before any clamping.
+func (b Benchmark) scaledLength(scale float64) int {
+	return int(float64(b.ScaledLength) * scale)
+}
+
+// LoadTrace generates the benchmark's call sequence of n calls, n in
+// [1, FullLength] (see TraceLength). The trace is deterministic in (b, n).
+func (b Benchmark) LoadTrace(n int) (*trace.Trace, error) {
+	if n < 1 || n > b.FullLength {
+		return nil, fmt.Errorf("dacapo: %s: trace length %d outside [1,%d]", b.Name, n, b.FullLength)
 	}
 	gen := b.gen
-	gen.Length = int(float64(b.ScaledLength) * scale)
-	if gen.Length > b.FullLength {
-		gen.Length = b.FullLength
-	}
-	if gen.Length < 1 {
-		gen.Length = 1
-	}
+	gen.Length = n
 	var tr *trace.Trace
 	var err error
 	if b.Parallel {
@@ -140,11 +168,17 @@ func (b Benchmark) Load(scale float64) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
 	}
+	return tr, nil
+}
+
+// LoadProfile synthesizes the benchmark's timing profile. It does not
+// depend on the trace length.
+func (b Benchmark) LoadProfile() (*profile.Profile, error) {
 	p, err := profile.Synthesize(b.Funcs, b.timing)
 	if err != nil {
 		return nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
 	}
-	return &Workload{Bench: b, Trace: tr, Profile: p}, nil
+	return p, nil
 }
 
 // threadTraces builds per-thread call sequences: the main thread carries the
@@ -201,20 +235,14 @@ func (b Benchmark) LoadThreads(scale float64, threads int) ([]*trace.Trace, *pro
 		return nil, nil, fmt.Errorf("dacapo: thread count must be >= 1, got %d", threads)
 	}
 	gen := b.gen
-	gen.Length = int(float64(b.ScaledLength) * scale)
-	if gen.Length > b.FullLength {
-		gen.Length = b.FullLength
-	}
-	if gen.Length < threads {
-		gen.Length = threads
-	}
+	gen.Length = max(min(b.scaledLength(scale), b.FullLength), threads)
 	per, err := threadTraces(gen, threads)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
 	}
-	p, err := profile.Synthesize(b.Funcs, b.timing)
+	p, err := b.LoadProfile()
 	if err != nil {
-		return nil, nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
+		return nil, nil, err
 	}
 	return per, p, nil
 }

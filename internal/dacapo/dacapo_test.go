@@ -133,6 +133,65 @@ func TestLoadScaling(t *testing.T) {
 	}
 }
 
+// TestLoadComposesSteps: Load is TraceLength, LoadTrace and LoadProfile in
+// sequence, so a caller that builds the trace and the profile separately
+// (the scheduling service memoizes the trace) gets the identical workload.
+func TestLoadComposesSteps(t *testing.T) {
+	for _, name := range []string{"fop", "lusearch"} { // sequential, parallel
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := b.Load(0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := b.TraceLength(0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := b.LoadTrace(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.LoadProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr.Calls, w.Trace.Calls) || tr.Name != w.Trace.Name {
+			t.Errorf("%s: LoadTrace(%d) differs from Load's trace", name, n)
+		}
+		if !reflect.DeepEqual(p, w.Profile) {
+			t.Errorf("%s: LoadProfile differs from Load's profile", name)
+		}
+	}
+}
+
+// TestTraceLength: scale resolves to ScaledLength×scale clamped to
+// [1, FullLength]; LoadTrace rejects lengths outside that range.
+func TestTraceLength(t *testing.T) {
+	b, err := ByName("eclipse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		scale float64
+		want  int
+	}{{1, b.ScaledLength}, {0.5, b.ScaledLength / 2}, {1e-9, 1}, {1e9, b.FullLength}} {
+		if n, err := b.TraceLength(c.scale); err != nil || n != c.want {
+			t.Errorf("TraceLength(%g) = %d, %v; want %d", c.scale, n, err, c.want)
+		}
+	}
+	if _, err := b.TraceLength(0); err == nil {
+		t.Error("TraceLength(0): want error")
+	}
+	for _, n := range []int{0, b.FullLength + 1} {
+		if _, err := b.LoadTrace(n); err == nil {
+			t.Errorf("LoadTrace(%d): want error", n)
+		}
+	}
+}
+
 func TestModels(t *testing.T) {
 	b, err := ByName("fop")
 	if err != nil {

@@ -61,6 +61,9 @@ type Metrics struct {
 	serveQueueWaitNS atomic.Int64
 	serveBatches     atomic.Int64
 	serveBatchItems  atomic.Int64
+	serveMemoHits    atomic.Int64
+	serveMemoMisses  atomic.Int64
+	serveMemoBytes   atomic.Int64
 
 	// Labeled serve counters: per-tenant traffic and 429s, per-cache-shard
 	// hits. Maps under a mutex rather than atomics — tenant names arrive at
@@ -370,6 +373,33 @@ func (m *Metrics) ServeQueue(delta int64) {
 	m.serveQueueDepth.Add(delta)
 }
 
+// ServeMemoHit records a corpus trace answered by the service's trace memo:
+// a retained entry, or another request's build it waited on.
+func (m *Metrics) ServeMemoHit() {
+	if m == nil {
+		return
+	}
+	m.serveMemoHits.Add(1)
+}
+
+// ServeMemoMiss records a corpus trace the service's trace memo had to
+// build.
+func (m *Metrics) ServeMemoMiss() {
+	if m == nil {
+		return
+	}
+	m.serveMemoMisses.Add(1)
+}
+
+// ServeMemoBytes adjusts the gauge of trace bytes the service's trace memos
+// retain by delta (+ on insert, - on eviction and shutdown).
+func (m *Metrics) ServeMemoBytes(delta int64) {
+	if m == nil {
+		return
+	}
+	m.serveMemoBytes.Add(delta)
+}
+
 // Snapshot is a point-in-time copy of the counters, safe to marshal.
 type Snapshot struct {
 	JobsStarted   int64 `json:"jobs_started"`
@@ -446,6 +476,12 @@ type Snapshot struct {
 	ServeQueueWait  time.Duration `json:"serve_queue_wait_ns"`
 	ServeBatches    int64         `json:"serve_batches"`
 	ServeBatchItems int64         `json:"serve_batch_items"`
+	// ServeMemoHits/ServeMemoMisses count corpus traces the trace memo
+	// answered without and with a build; ServeMemoBytes is the gauge of
+	// trace bytes it retains.
+	ServeMemoHits   int64 `json:"serve_memo_hits"`
+	ServeMemoMisses int64 `json:"serve_memo_misses"`
+	ServeMemoBytes  int64 `json:"serve_memo_bytes"`
 	// ServeTenantRequests/ServeTenantRejects break serve traffic and
 	// admission-control 429s down by tenant; ServeShardHits breaks cache
 	// hits+coalesces down by cache shard. Empty maps are omitted.
@@ -511,6 +547,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		ServeQueueWait:  time.Duration(m.serveQueueWaitNS.Load()),
 		ServeBatches:    m.serveBatches.Load(),
 		ServeBatchItems: m.serveBatchItems.Load(),
+		ServeMemoHits:   m.serveMemoHits.Load(),
+		ServeMemoMisses: m.serveMemoMisses.Load(),
+		ServeMemoBytes:  m.serveMemoBytes.Load(),
 
 		ServeTenantRequests: m.copyLabeled(&m.tenantRequests),
 		ServeTenantRejects:  m.copyLabeled(&m.tenantRejects),

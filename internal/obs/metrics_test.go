@@ -22,6 +22,9 @@ func TestMetricsNilSafe(t *testing.T) {
 	m.ServeTenant("t")
 	m.ServeTenantRejected("t")
 	m.ServeShardHit(1)
+	m.ServeMemoHit()
+	m.ServeMemoMiss()
+	m.ServeMemoBytes(64)
 	if s := m.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
 		t.Errorf("nil metrics snapshot = %+v, want zero", s)
 	}

@@ -172,10 +172,12 @@ func (sh *cacheShard) trimLocked() {
 // complete publishes the leader's result and wakes all waiters. On error the
 // entry is evicted (waiters already holding it still observe the error);
 // on success it becomes eviction-eligible and the shard trims back within
-// capacity.
+// capacity. Waiters wake only once the entry's state is settled, so a
+// client that has read the answer and repeats the request sees a hit, not
+// a coalesce onto an entry still marked in flight.
 func (c *shardedCache) complete(key string, e *cacheEntry, body []byte, err error) {
 	e.body, e.err = body, err
-	close(e.ready)
+	defer close(e.ready)
 	sh := c.shardFor(key)
 	if sh == nil {
 		return

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -56,7 +57,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		if req.Bench != "" && req.Scale > 2 {
 			return
 		}
-		w, err := req.workload()
+		w, err := req.workload(context.Background(), nil)
 		if err != nil {
 			var rerr *requestError
 			if !errors.As(err, &rerr) {

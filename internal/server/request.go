@@ -333,10 +333,13 @@ func (req *ScheduleRequest) contentHash() uint64 {
 
 // workload materializes the request's trace and profile: a corpus entry
 // loaded at the requested scale, or the inline payload validated into the
-// library types. MaxCalls truncation happens here so everything downstream
-// (fingerprint excepted — it already encodes MaxCalls) sees the final
-// instance.
-func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
+// library types. A corpus trace comes from memo (nil builds it afresh) and
+// is shared, so the Workload is always fresh and the profile is built per
+// request; a wait on another request's build of the trace ends with ctx.
+// MaxCalls truncation happens here, as a prefix view, so everything
+// downstream (fingerprint excepted — it already encodes MaxCalls) sees the
+// final instance.
+func (req *ScheduleRequest) workload(ctx context.Context, memo *traceMemo) (*dacapo.Workload, error) {
 	var w *dacapo.Workload
 	if req.Bench != "" {
 		b, err := dacapo.ByName(req.Bench)
@@ -347,10 +350,22 @@ func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
 		if scale == 0 {
 			scale = 1.0
 		}
-		w, err = b.Load(scale)
+		n, err := b.TraceLength(scale)
 		if err != nil {
 			return nil, badRequest("loading %s: %v", req.Bench, err)
 		}
+		tr, err := memo.trace(ctx, b, n)
+		if errors.Is(err, astar.ErrCancelled) {
+			return nil, err
+		}
+		if err != nil {
+			return nil, badRequest("loading %s: %v", req.Bench, err)
+		}
+		p, err := b.LoadProfile()
+		if err != nil {
+			return nil, badRequest("loading %s: %v", req.Bench, err)
+		}
+		w = &dacapo.Workload{Bench: b, Trace: tr, Profile: p}
 	} else {
 		p := &profile.Profile{Levels: req.Profile.Levels, Funcs: make([]profile.FuncTimes, len(req.Profile.Funcs))}
 		for i, f := range req.Profile.Funcs {

@@ -139,6 +139,13 @@ type Server struct {
 	rootCtx  context.Context
 	cancel   context.CancelCauseFunc
 	m        *obs.Metrics
+	// memo builds each corpus trace once per (bench, length); see memo.go.
+	memo *traceMemo
+	// arenas is the LIFO stack of idle IAR arenas jobs borrow from, so the
+	// warm arenas number the peak of concurrent IAR jobs, not Workers, and
+	// the most recently used (warmest) arena is reused first.
+	arenaMu sync.Mutex
+	arenas  []*core.IARArena
 }
 
 // New builds a Server and starts its worker pool. Callers must Shutdown it
@@ -156,6 +163,7 @@ func New(opts Options) *Server {
 		}),
 		queue: make(chan job, opts.QueueDepth),
 		m:     opts.Metrics,
+		memo:  newTraceMemo(traceMemoBudget, opts.Metrics),
 	}
 	s.rootCtx, s.cancel = context.WithCancelCause(context.Background())
 	s.mux.HandleFunc("POST /schedule", s.handleSchedule)
@@ -182,9 +190,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Shutdown drains the service: new scheduling requests are bounced with 503,
-// queued and running jobs are cancelled (their waiters get 503/504), and the
-// worker pool is joined. It is idempotent and safe to call concurrently with
-// requests.
+// queued and running jobs are cancelled (their waiters get 503/504), the
+// worker pool is joined, and the trace memo and idle IAR arenas are
+// released. It is idempotent and safe to call concurrently with requests.
 func (s *Server) Shutdown() {
 	s.shutdown.Do(func() {
 		s.cancel(errDraining)
@@ -194,20 +202,43 @@ func (s *Server) Shutdown() {
 		s.qmu.Unlock()
 	})
 	s.wg.Wait()
+	s.memo.release()
+	s.arenaMu.Lock()
+	s.arenas = nil
+	s.arenaMu.Unlock()
 }
 
 // worker is the pool loop: pop, compute under the request's deadline,
-// publish into the cache entry. Each worker owns one IAR arena for the life
-// of the pool — jobs run serially on the worker, so every IAR job after the
-// first reuses warm buffers instead of allocating fresh working state.
+// publish into the cache entry.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	arena := core.NewIARArena()
 	for j := range s.queue {
 		s.m.ServeQueue(-1)
 		s.m.ServeQueueWait(time.Since(j.enqueued))
-		s.runJob(j, arena)
+		s.runJob(j)
 	}
+}
+
+// borrowArena pops the most recently returned IAR arena, or makes one when
+// every arena is in use.
+func (s *Server) borrowArena() *core.IARArena {
+	s.arenaMu.Lock()
+	defer s.arenaMu.Unlock()
+	n := len(s.arenas)
+	if n == 0 {
+		return core.NewIARArena()
+	}
+	a := s.arenas[n-1]
+	s.arenas[n-1] = nil
+	s.arenas = s.arenas[:n-1]
+	return a
+}
+
+// returnArena pushes an arena borrowed by borrowArena back on the stack.
+func (s *Server) returnArena(a *core.IARArena) {
+	s.arenaMu.Lock()
+	s.arenas = append(s.arenas, a)
+	s.arenaMu.Unlock()
 }
 
 // enqueue offers j to the worker pool without blocking, reporting whether it
@@ -228,7 +259,7 @@ func (s *Server) enqueue(j job) bool {
 }
 
 // runJob computes one leader request and completes its cache entry.
-func (s *Server) runJob(j job, arena *core.IARArena) {
+func (s *Server) runJob(j job) {
 	d := j.req.timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout)
 	// The deadline covers queue wait too — a request is a promise to answer
 	// within its budget, not to start within it.
@@ -239,17 +270,23 @@ func (s *Server) runJob(j job, arena *core.IARArena) {
 	}
 	ctx, cancel := context.WithTimeoutCause(s.rootCtx, d, errDeadline)
 	defer cancel()
-	body, err := s.compute(ctx, j.req, arena)
+	body, err := s.compute(ctx, j.req)
 	s.cache.complete(j.key, j.entry, body, err)
 }
 
-// compute runs the request and marshals the response body. The response is
-// fully marshalled before compute returns, so a schedule aliasing the
-// worker's arena never outlives its validity window.
-func (s *Server) compute(ctx context.Context, req *ScheduleRequest, arena *core.IARArena) ([]byte, error) {
-	w, err := req.workload()
+// compute runs the request and marshals the response body. An iar job
+// borrows an arena for its run; the response is fully marshalled before the
+// arena goes back, so a schedule aliasing it never outlives its validity
+// window.
+func (s *Server) compute(ctx context.Context, req *ScheduleRequest) ([]byte, error) {
+	w, err := req.workload(ctx, s.memo)
 	if err != nil {
 		return nil, err
+	}
+	var arena *core.IARArena
+	if req.Algo == "iar" {
+		arena = s.borrowArena()
+		defer s.returnArena(arena)
 	}
 	resp, err := execute(ctx, req, w, arena, s.m)
 	if err != nil {

@@ -428,7 +428,7 @@ func TestMetricsEndpointRidesAlong(t *testing.T) {
 }
 
 // TestMetricsExposesArenaAndDispatchKeys: the /metrics document carries the
-// IAR-arena and adaptive-dispatch counters, and serving an iar request over
+// IAR-arena, adaptive-dispatch and trace-memo counters, and serving an iar request over
 // this very server moves the run counters it reports.
 func TestMetricsExposesArenaAndDispatchKeys(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -446,6 +446,7 @@ func TestMetricsExposesArenaAndDispatchKeys(t *testing.T) {
 		"iar_arenas", "iar_runs", "iar_warm_runs",
 		"search_dispatch_serial", "search_dispatch_parallel", "search_speedup_milli",
 		"exact_solves", "exact_conflicts", "exact_learned_clauses",
+		"serve_memo_hits", "serve_memo_misses", "serve_memo_bytes",
 	} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("/metrics missing %q", key)

@@ -121,6 +121,13 @@ func (e *Evaluator) Run(sched Schedule, cfg Config, opts Options) (*Result, erro
 	return res, nil
 }
 
+// CallStarts returns the start time of every call of the last successful
+// Run, in trace order, whether or not that run set Options.RecordCalls:
+// the evaluator always keeps them as its delta baseline. It mirrors
+// PrefixSim.CallStarts. The slice aliases the evaluator and is valid
+// (read-only) until the next Run, MakeSpanOf or Reset.
+func (e *Evaluator) CallStarts() []int64 { return e.starts }
+
 // EditKind selects one of the two schedule edits with an incremental path.
 type EditKind int
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,6 +147,70 @@ func TestEvaluatorMatchesRunOnCorpus(t *testing.T) {
 						t.Fatalf("%s: evaluator.Run: %v", tr.Name, err)
 					}
 					diffResults(t, tr.Name, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatorRunKeepsNoLevels: a run without Options.RecordCalls reports
+// no per-call detail and never sizes the level buffer, though the evaluator
+// still keeps the call starts its delta path resumes from.
+func TestEvaluatorRunKeepsNoLevels(t *testing.T) {
+	tr, p, sched := deltaWorkload(t, 29)
+	eval, err := NewEvaluator(tr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {ExecVariation: 0.2, ExecVariationSeed: 3}} {
+		res, err := eval.Run(sched, DefaultConfig(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CallLevels != nil || res.CallStarts != nil {
+			t.Errorf("opts %+v: CallLevels/CallStarts = %d/%d entries, want nil", opts, len(res.CallLevels), len(res.CallStarts))
+		}
+		if cap(eval.lvls) != 0 {
+			t.Errorf("opts %+v: level buffer grew to cap %d, want 0", opts, cap(eval.lvls))
+		}
+		if len(eval.CallStarts()) != tr.Len() {
+			t.Errorf("opts %+v: CallStarts has %d entries, want %d", opts, len(eval.CallStarts()), tr.Len())
+		}
+	}
+}
+
+// TestEvaluatorCallStartsMatchRecorded: over the fuzz seed corpus, the starts
+// an unrecorded run leaves in Evaluator.CallStarts equal the CallStarts of
+// the same run under RecordCalls, and the frozen reference's.
+func TestEvaluatorCallStartsMatchRecorded(t *testing.T) {
+	for _, tr := range corpusTraces(t) {
+		p, err := profile.Synthesize(tr.NumFuncs(), profile.DefaultTiming(4, 11))
+		if err != nil {
+			t.Fatalf("%s: synthesize: %v", tr.Name, err)
+		}
+		sched := corpusSchedule(tr, p, 5)
+		eval, err := NewEvaluator(tr, p)
+		if err != nil {
+			t.Fatalf("%s: NewEvaluator: %v", tr.Name, err)
+		}
+		for _, cfg := range []Config{{CompileWorkers: 1}, {CompileWorkers: 3}} {
+			for _, opts := range []Options{{}, {ExecVariation: 0.3, ExecVariationSeed: 42}} {
+				if _, err := eval.Run(sched, cfg, opts); err != nil {
+					t.Fatalf("%s: evaluator.Run: %v", tr.Name, err)
+				}
+				got := append([]int64(nil), eval.CallStarts()...)
+				rec := opts
+				rec.RecordCalls = true
+				want, err := eval.Run(sched, cfg, rec)
+				if err != nil {
+					t.Fatalf("%s: recorded evaluator.Run: %v", tr.Name, err)
+				}
+				ref, err := refRun(tr, p, sched, cfg, rec)
+				if err != nil {
+					t.Fatalf("%s: reference run: %v", tr.Name, err)
+				}
+				if !slices.Equal(got, want.CallStarts) || !slices.Equal(got, ref.CallStarts) {
+					t.Errorf("%s %+v %+v: CallStarts differ from the recorded run's", tr.Name, cfg, opts)
 				}
 			}
 		}

@@ -132,6 +132,9 @@ type kernel struct {
 	firstReady []int64
 	starts     []int64
 	lvls       []profile.Level
+	// recLvls makes a recording runCalls append levels to lvls too; replay
+	// sets it only under Options.RecordCalls.
+	recLvls bool
 	// execBound and budget are the two halves of the last replay's
 	// worst-case check.
 	execBound, budget int64
@@ -209,8 +212,8 @@ func (k *kernel) readyAt(f trace.FuncID, t int64) int64 {
 // option is set, observe's Interrupt poll, variation scaling and recorder
 // events. The policy engines drive it one call at a time, after
 // materializing every compilation that can start by the call's readyAt.
-// With record set, each call's start is appended to k.starts and, unless
-// k.lvls is nil, its level to k.lvls. It returns the last call's start and
+// With record set, each call's start is appended to k.starts and, if
+// k.recLvls is set, its level to k.lvls. It returns the last call's start and
 // level.
 func (k *kernel) runCalls(calls []trace.FuncID, from, to int, ln *lane, opts *Options, record bool) (start int64, level profile.Level, err error) {
 	// The options' work sits behind one branch and one call, so a run
@@ -240,7 +243,7 @@ func (k *kernel) runCalls(calls []trace.FuncID, from, to int, ln *lane, opts *Op
 		t = start + dur
 		if record {
 			k.starts = append(k.starts, start)
-			if k.lvls != nil {
+			if k.recLvls {
 				k.lvls = append(k.lvls, level)
 			}
 		}
@@ -271,8 +274,8 @@ func observe(opts *Options, i int, f trace.FuncID, t, start int64, level profile
 
 // replay simulates a static schedule over tr from time zero: all events are
 // available at time 0. The Result aliases the kernel's buffers. With record
-// set, every call's start and level stay in k.starts/k.lvls (and appear on
-// the Result under Options.RecordCalls).
+// set, every call's start stays in k.starts; levels are kept in k.lvls only
+// under Options.RecordCalls, where both appear on the Result.
 func (k *kernel) replay(tr *trace.Trace, sched Schedule, cfg Config, opts *Options, record bool) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -307,8 +310,12 @@ func (k *kernel) replay(tr *trace.Trace, sched Schedule, cfg Config, opts *Optio
 	k.compiles = res.Compiles
 	k.fillFirstReady(res.FirstReady)
 
+	k.recLvls = record && opts.RecordCalls
 	if record {
-		k.starts, k.lvls = growN(k.starts, tr.Len())[:0], growN(k.lvls, tr.Len())[:0]
+		k.starts = growN(k.starts, tr.Len())[:0]
+	}
+	if k.recLvls {
+		k.lvls = growN(k.lvls, tr.Len())[:0]
 	}
 	var ln lane
 	if _, _, err := k.runCalls(tr.Calls, 0, len(tr.Calls), &ln, opts, record); err != nil {
