@@ -9,9 +9,11 @@ import (
 )
 
 // Adaptive serial/parallel dispatch for the batch-parallel searches (beam,
-// BnB). BENCH_search.json shows the parallel pipelines only ~10-15% ahead of
-// serial on small instances — goroutine fan-out has a floor cost, and below
-// some instance size serial wins outright. Following the SPDP framework's
+// BnB). Parallel is no sure win on small instances: the current
+// BENCH_search.json, from a 2-vCPU host, has beam and BnB 18% and 29%
+// slower parallel than serial, and an earlier record from another host had
+// them ~10-15% ahead. Goroutine fan-out has a floor cost, and below some
+// instance size serial wins outright. Following the SPDP framework's
 // online decision rule ("When to Give Up on a Parallel Implementation",
 // PAPERS.md), Workers=0 now means "auto": the dispatcher keeps a small EWMA
 // table of observed per-node cost for each (instance-size bucket, mode) pair

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCacheSingleFlightUnderEvictionPressure is the regression for the bug
@@ -116,6 +117,30 @@ func TestCacheBeginStates(t *testing.T) {
 	c.complete("k", e, []byte("x"), nil)
 	if _, st3 := c.begin("k"); st3 != beginHit || st3.String() != "hit" {
 		t.Fatalf("completed key: %v, want hit", st3)
+	}
+}
+
+// TestCacheReadyAfterSettled: complete wakes waiters only once the entry is
+// marked done, so a client that read the answer and repeats the request is
+// a hit, never a coalesce onto an entry still in flight. The test holds the
+// shard lock while complete runs: ready must stay open until complete can
+// settle the entry, and a begin made as soon as ready closes must hit.
+func TestCacheReadyAfterSettled(t *testing.T) {
+	c := newShardedCache(1)
+	e, _ := c.begin("k")
+	sh := c.shardFor("k")
+	sh.mu.Lock()
+	go c.complete("k", e, []byte("x"), nil)
+	select {
+	case <-e.ready:
+		sh.mu.Unlock()
+		t.Fatal("ready closed before the entry was marked done")
+	case <-time.After(20 * time.Millisecond):
+	}
+	sh.mu.Unlock()
+	<-e.ready
+	if _, st := c.begin("k"); st != beginHit {
+		t.Fatalf("begin right after ready = %v, want hit", st)
 	}
 }
 

@@ -36,6 +36,9 @@ func FuzzScheduleRequest(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// One memo across iterations, so corpus requests run the shared-trace
+	// path the server takes.
+	memo := newTraceMemo(traceMemoBudget, nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodeScheduleRequest(bytes.NewReader(data))
 		if err != nil {
@@ -57,7 +60,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		if req.Bench != "" && req.Scale > 2 {
 			return
 		}
-		w, err := req.workload(context.Background(), nil)
+		w, err := req.workload(context.Background(), memo)
 		if err != nil {
 			var rerr *requestError
 			if !errors.As(err, &rerr) {

@@ -44,8 +44,6 @@ type memoEntry struct {
 // whole budget is handed to its waiters and dropped, and an in-flight entry
 // is never evicted. Traces are shared and must be treated as immutable:
 // callers take prefixes with trace.Slice, never by editing Calls.
-//
-// A nil *traceMemo builds every trace afresh.
 type traceMemo struct {
 	budget int64
 	build  func(b dacapo.Benchmark, n int) (*trace.Trace, error)
@@ -70,9 +68,6 @@ func newTraceMemo(budget int64, m *obs.Metrics) *traceMemo {
 // that outlives ctx returns astar.ErrCancelled wrapped with ctx's cause; the
 // build itself runs to completion for whoever still needs it.
 func (t *traceMemo) trace(ctx context.Context, b dacapo.Benchmark, n int) (*trace.Trace, error) {
-	if t == nil {
-		return b.LoadTrace(n)
-	}
 	k := memoKey{b.Name, n}
 	t.mu.Lock()
 	if e, ok := t.entries[k]; ok {

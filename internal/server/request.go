@@ -333,9 +333,9 @@ func (req *ScheduleRequest) contentHash() uint64 {
 
 // workload materializes the request's trace and profile: a corpus entry
 // loaded at the requested scale, or the inline payload validated into the
-// library types. A corpus trace comes from memo (nil builds it afresh) and
-// is shared, so the Workload is always fresh and the profile is built per
-// request; a wait on another request's build of the trace ends with ctx.
+// library types. A corpus trace comes from memo and is shared, so the
+// Workload is always fresh and the profile is built per request; a wait on
+// another request's build of the trace ends with ctx.
 // MaxCalls truncation happens here, as a prefix view, so everything
 // downstream (fingerprint excepted — it already encodes MaxCalls) sees the
 // final instance.
